@@ -14,6 +14,7 @@ import (
 	"context"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,8 +98,8 @@ func BenchmarkAblationSimVsModel(b *testing.B) {
 	m := core.J90()
 	addrs := patterns.Uniform(1<<14, 1<<30, rng.New(1))
 	pt := core.NewPattern(addrs, m.Procs)
-	prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
-	pred := m.PredictDXBSP(prof)
+	loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
+	pred := m.PredictDXBSP(loads)
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -292,6 +293,9 @@ func BenchmarkSimScatter64KGPU(b *testing.B) {
 	}
 }
 
+// BenchmarkProfile64K times the full compact profile (load pass plus the
+// sort-based location pass); BenchmarkLoads64K times the load pass alone
+// on the same pattern, which is all the cost law needs.
 func BenchmarkProfile64K(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(3)), m.Procs)
@@ -300,6 +304,17 @@ func BenchmarkProfile64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.ComputeProfileCompact(pt, bm)
+	}
+}
+
+func BenchmarkLoads64K(b *testing.B) {
+	m := core.J90()
+	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(3)), m.Procs)
+	bm := core.InterleaveMap{Banks: m.Banks}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.ComputeLoads(pt, bm)
 	}
 }
 
@@ -612,30 +627,38 @@ func BenchmarkBatchExpansionWindowed(b *testing.B) {
 // `dxbench -surrogate auto -experiment F14` takes. Small cells still
 // event-simulate (exactness is free there); the large rows, whose
 // request counts cross DefaultSurrogateThreshold, answer in closed form.
-// points/sec counts grid cells per wall-clock second on one worker; a
-// fresh runner per iteration keeps the cache from memoizing the work
-// away. This entry joins BENCH_history.json but not the regression
-// gate: the split between simulated and routed cells is a routing
-// policy, not a hot path.
+// requests/sec counts the pattern elements handed to RunSim at the top
+// of the runner stack, however each is served, per wall-clock second on
+// one worker; a fresh runner per iteration keeps the cache from
+// memoizing the work away. This entry joins BENCH_history.json but not
+// the regression gate: the split between simulated and routed cells is
+// a routing policy, not a hot path.
 func BenchmarkSurrogateGrid(b *testing.B) {
 	e, ok := experiments.Lookup("F14")
 	if !ok {
 		b.Fatal("unknown experiment F14")
 	}
+	var requests atomic.Int64
+	runPoint := e.RunPoint
+	e.RunPoint = func(ctx context.Context, cfg experiments.Config, p experiments.Point) (experiments.PointResult, error) {
+		next := cfg
+		cfg.Sim = experiments.SimRunnerFunc(func(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {
+			requests.Add(int64(pt.N()))
+			return next.RunSim(ctx, sc, pt)
+		})
+		return runPoint(ctx, cfg, p)
+	}
 	cfg := experiments.DefaultConfig()
 	ctx := context.Background()
-	var points float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		r := &runner.Runner{Parallel: 1, Cache: runner.NewCache(),
 			Surrogate: runner.SurrogateRouting{Mode: runner.SurrogateAuto}}
-		res, err := r.RunExperiment(ctx, e, cfg)
-		if err != nil {
+		if _, err := r.RunExperiment(ctx, e, cfg); err != nil {
 			b.Fatal(err)
 		}
-		points += float64(res.Stats.Points)
 	}
-	b.ReportMetric(points/time.Since(start).Seconds(), "points/sec")
+	b.ReportMetric(float64(requests.Load())/time.Since(start).Seconds(), "requests/sec")
 }

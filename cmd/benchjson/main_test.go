@@ -179,6 +179,23 @@ func TestCompareThroughputMetrics(t *testing.T) {
 	}
 }
 
+// A bench new in head (the base commit lacks it) has nothing to compare
+// against: -compare reports and gates only the benches both sides ran.
+func TestCompareHeadOnlyBench(t *testing.T) {
+	base := writeJSON(t, File{Benchmarks: map[string]Bench{"Old": {NsPerOp: 1000, Samples: 1}}})
+	head := writeJSON(t, File{Benchmarks: map[string]Bench{
+		"Old": {NsPerOp: 1000, Samples: 1},
+		"New": {NsPerOp: 1, Samples: 1, Metrics: map[string]float64{"requests/sec": 1}},
+	}})
+	out, errOut, code := runTool(t, "", "-compare", base, head)
+	if code != 0 {
+		t.Fatalf("head-only bench failed the compare (%d):\n%s\n%s", code, out, errOut)
+	}
+	if strings.Contains(out, "New") {
+		t.Errorf("head-only bench reported:\n%s", out)
+	}
+}
+
 func TestCompareThresholdFlag(t *testing.T) {
 	base := writeJSON(t, File{Benchmarks: map[string]Bench{"B": {NsPerOp: 1000, Samples: 1}}})
 	head := writeJSON(t, File{Benchmarks: map[string]Bench{"B": {NsPerOp: 1100, Samples: 1}}})

@@ -148,10 +148,10 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("predicted  BSP=%.0f  (d,x)-BSP=%.0f cycles\n",
-		mach.PredictBSP(prof), mach.PredictDXBSP(prof))
+		mach.PredictBSP(prof.Loads), mach.PredictDXBSP(prof.Loads))
 	fmt.Printf("simulated  %.0f cycles  (%.3f cycles/element, ratio to (d,x)-BSP %.3f)\n",
 		r.Cycles, core.CyclesPerElement(r.Cycles, prof.N, mach.Procs),
-		r.Cycles/mach.PredictDXBSP(prof))
+		r.Cycles/mach.PredictDXBSP(prof.Loads))
 	fmt.Printf("banks      max served=%d  max queue=%d  busy=%.0f cycles total\n",
 		r.MaxBankServed, r.MaxBankQueue, r.BankBusy)
 	if *sections {

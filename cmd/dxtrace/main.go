@@ -71,7 +71,7 @@ func main() {
 		fmt.Printf("%s: n=%d h=%d k=%d κ=%d distinct=%d\n",
 			m.Name, prof.N, prof.MaxH, prof.MaxK, prof.MaxLoc, prof.DistinctLocs)
 		fmt.Printf("  BSP=%.0f  (d,x)-BSP=%.0f  simulated=%.0f cycles (%.3f cyc/elem)\n",
-			m.PredictBSP(prof), m.PredictDXBSP(prof), r.Cycles,
+			m.PredictBSP(prof.Loads), m.PredictDXBSP(prof.Loads), r.Cycles,
 			core.CyclesPerElement(r.Cycles, prof.N, m.Procs))
 	}
 }

@@ -39,13 +39,13 @@ func main() {
 	fmt.Printf("%-30s %12s %12s %12s\n", "pattern", "BSP", "(d,x)-BSP", "simulated")
 	for _, c := range cases {
 		pt := core.NewPattern(c.addrs, m.Procs)
-		prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+		loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 		r, err := sim.Run(sim.Config{Machine: m}, pt)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-30s %12.0f %12.0f %12.0f\n",
-			c.name, m.PredictBSP(prof), m.PredictDXBSP(prof), r.Cycles)
+			c.name, m.PredictBSP(loads), m.PredictDXBSP(loads), r.Cycles)
 	}
 	fmt.Println("\nBSP misses the contention entirely; the (d,x)-BSP tracks the simulator.")
 }

@@ -132,8 +132,8 @@ func SpMV(vm *vector.Machine, a *CSR, x []int64) SpMVResult {
 	prof := core.ComputeProfileCompact(core.NewPattern(addrs, mach.Procs), core.InterleaveMap{Banks: mach.Banks})
 	res := SpMVResult{
 		GatherContention: prof.MaxLoc,
-		PredictedBSP:     mach.PredictBSP(prof),
-		PredictedDXBSP:   mach.PredictDXBSP(prof),
+		PredictedBSP:     mach.PredictBSP(prof.Loads),
+		PredictedDXBSP:   mach.PredictDXBSP(prof.Loads),
 	}
 
 	// Gather x entries by column index; multiply with values.

@@ -36,7 +36,7 @@ func ExampleComputeProfile() {
 	pt := core.NewPattern(addrs, m.Procs)
 	prof := core.ComputeProfile(pt, core.InterleaveMap{Banks: m.Banks})
 	fmt.Printf("h=%d k=%d κ=%d distinct=%d\n", prof.MaxH, prof.MaxK, prof.MaxLoc, prof.DistinctLocs)
-	fmt.Printf("BSP=%.0f (d,x)-BSP=%.0f\n", m.PredictBSP(prof), m.PredictDXBSP(prof))
+	fmt.Printf("BSP=%.0f (d,x)-BSP=%.0f\n", m.PredictBSP(prof.Loads), m.PredictDXBSP(prof.Loads))
 	// Output:
 	// h=2 k=8 κ=8 distinct=9
 	// BSP=2 (d,x)-BSP=112

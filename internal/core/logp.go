@@ -77,7 +77,7 @@ func (m DXLogP) LogPBulkCost(h int) float64 {
 	return math.Max(m.O, m.G)*float64(h) + m.L + 2*m.O
 }
 
-// BulkCostProfile applies BulkCost to a measured pattern profile.
-func (m DXLogP) BulkCostProfile(p Profile) float64 {
+// BulkCostProfile applies BulkCost to a pattern's measured bank loads.
+func (m DXLogP) BulkCostProfile(p Loads) float64 {
 	return m.BulkCost(p.MaxH, p.MaxK)
 }

@@ -76,7 +76,7 @@ func TestBulkCostProfileAgreesWithBSPShape(t *testing.T) {
 	// With o=0 the (d,x)-LogP bulk cost reduces to the (d,x)-BSP cost.
 	mach := J90()
 	lp := FromMachine(mach, 0)
-	prof := Profile{N: 1 << 14, Procs: 8, Banks: 512, MaxH: 2048, MaxK: 4096}
+	prof := Loads{N: 1 << 14, Procs: 8, Banks: 512, MaxH: 2048, MaxK: 4096}
 	got := lp.BulkCostProfile(prof)
 	want := mach.PredictDXBSP(prof)
 	if math.Abs(got-want) > 1e-9 {

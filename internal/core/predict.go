@@ -3,20 +3,20 @@ package core
 import "math"
 
 // This file holds the model predictors used by every experiment: given a
-// machine and either a full contention profile or summary statistics, they
+// machine and either a pattern's bank loads or summary statistics, they
 // return the predicted cycles for a bulk scatter/gather superstep under
 // plain BSP accounting and under (d,x)-BSP accounting.
 
 // PredictDXBSP returns the (d,x)-BSP predicted cycles for executing the
-// profiled superstep: max(g*h, d*k) + L.
-func (m Machine) PredictDXBSP(p Profile) float64 {
+// superstep with bank loads p: max(g*h, d*k) + L.
+func (m Machine) PredictDXBSP(p Loads) float64 {
 	return m.SuperstepCost(p.MaxH, p.MaxK)
 }
 
 // PredictBSP returns the plain BSP prediction g*h + L, which ignores banks
 // entirely. Comparing this against PredictDXBSP and against simulation is
 // the heart of Figure 1.
-func (m Machine) PredictBSP(p Profile) float64 {
+func (m Machine) PredictBSP(p Loads) float64 {
 	return m.BSPCost(p.MaxH)
 }
 
@@ -280,11 +280,12 @@ func poissonTailMaxLoad(mean, b float64) float64 {
 }
 
 // PredictedSlowdownVsFlat returns the ratio of the (d,x)-BSP prediction for
-// the profiled pattern to the prediction for a perfectly flat pattern of
-// the same size (contention-free, balanced banks). Values near 1 mean
-// contention is immaterial; large values quantify the contention penalty.
-func (m Machine) PredictedSlowdownVsFlat(p Profile) float64 {
-	flat := Profile{
+// a pattern with bank loads p to the prediction for a perfectly flat
+// pattern of the same size (contention-free, balanced banks). Values near
+// 1 mean contention is immaterial; large values quantify the contention
+// penalty.
+func (m Machine) PredictedSlowdownVsFlat(p Loads) float64 {
+	flat := Loads{
 		N:     p.N,
 		Procs: p.Procs,
 		Banks: p.Banks,

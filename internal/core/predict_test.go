@@ -11,12 +11,12 @@ func TestPredictDXBSPVsBSP(t *testing.T) {
 	m := J90()
 	n := 65536
 	// Flat profile: both models agree (memory keeps up, x=64 >= d=14).
-	flat := Profile{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n / 512}
+	flat := Loads{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n / 512}
 	if dx, bsp := m.PredictDXBSP(flat), m.PredictBSP(flat); dx != bsp {
 		t.Errorf("flat pattern: dx=%v bsp=%v, want equal", dx, bsp)
 	}
 	// Hot profile: dx prediction must exceed bsp.
-	hot := Profile{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n}
+	hot := Loads{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n}
 	if dx, bsp := m.PredictDXBSP(hot), m.PredictBSP(hot); dx <= bsp {
 		t.Errorf("hot pattern: dx=%v should exceed bsp=%v", dx, bsp)
 	}
@@ -207,7 +207,7 @@ func TestExpectedMaxLoadMonotone(t *testing.T) {
 func TestPredictedSlowdownVsFlat(t *testing.T) {
 	m := J90()
 	n := 65536
-	flat := Profile{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n / 512}
+	flat := Loads{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n / 512}
 	if s := m.PredictedSlowdownVsFlat(flat); math.Abs(s-1) > 1e-9 {
 		t.Errorf("flat slowdown = %v, want 1", s)
 	}

@@ -121,16 +121,27 @@ func (pt Pattern) Flatten() []uint64 {
 	return out
 }
 
-// Profile summarizes the contention structure of a Pattern under a given
-// bank mapping. It holds exactly the quantities the (d,x)-BSP cost law
-// consumes, plus diagnostics used by the experiments.
-type Profile struct {
+// Loads is the part of a pattern's profile the (d,x)-BSP cost law
+// T = max(g·h, d·k) + L reads: the request count, the machine shape, and
+// the two maxima h and k. It comes from one pass over the pattern into a
+// per-bank histogram (ComputeLoads), with no copy or sort of the
+// addresses, so hot loops that only cost a superstep stay O(n + banks).
+type Loads struct {
 	N     int // total requests
 	Procs int // processors issuing them
 	Banks int // banks in the mapping
 
 	MaxH int // max requests issued by one processor (BSP's h)
 	MaxK int // max requests received by one bank (the d*k term)
+}
+
+// Profile summarizes the contention structure of a Pattern under a given
+// bank mapping: the Loads the cost law consumes, plus the location
+// statistics (QRQW contention, distinct locations) the experiments use
+// as diagnostics. The location statistics need a sort of the addresses,
+// so callers that read only h and k should use ComputeLoads instead.
+type Profile struct {
+	Loads
 
 	// MaxLoc is the maximum number of requests addressed to one memory
 	// location — the QRQW notion of contention κ. MaxK >= ceil stats of
@@ -192,49 +203,65 @@ func sortAddrs(xs []uint64) {
 	}
 }
 
-// ComputeProfile profiles pattern pt under bank map bm.
+// ComputeLoads returns the bank loads of pattern pt under bank map bm:
+// the load pass alone, without the location statistics. It is what the
+// cost law needs, and what every caller that reads only h and k should
+// use.
+func ComputeLoads(pt Pattern, bm BankMap) Loads {
+	l, _ := bankLoads(pt, bm)
+	return l
+}
+
+// bankLoads is the load pass: one walk over the pattern that counts
+// requests per processor and per bank. It returns the Loads and the
+// per-bank histogram it filled.
+func bankLoads(pt Pattern, bm BankMap) (Loads, []int) {
+	l := Loads{Procs: pt.Procs(), Banks: bm.NumBanks()}
+	hist := make([]int, l.Banks)
+	for _, per := range pt.PerProc {
+		l.N += len(per)
+		if len(per) > l.MaxH {
+			l.MaxH = len(per)
+		}
+		for _, a := range per {
+			hist[bm.Bank(a)]++
+		}
+	}
+	for _, k := range hist {
+		if k > l.MaxK {
+			l.MaxK = k
+		}
+	}
+	return l, hist
+}
+
+// ComputeProfile profiles pattern pt under bank map bm: the load pass of
+// ComputeLoads plus the location pass (MaxLoc, DistinctLocs,
+// MaxKDistinct), retaining the per-bank histogram.
 func ComputeProfile(pt Pattern, bm BankMap) Profile {
 	return computeProfile(pt, bm, true)
 }
 
 // ComputeProfileCompact is ComputeProfile without retaining the per-bank
-// histogram, for very large bank counts in tight loops.
+// histogram. It still copies and sorts the addresses for the location
+// pass; hot loops that need only h and k should use ComputeLoads.
 func ComputeProfileCompact(pt Pattern, bm BankMap) Profile {
 	return computeProfile(pt, bm, false)
 }
 
 func computeProfile(pt Pattern, bm BankMap, keep bool) Profile {
-	banks := bm.NumBanks()
-	prof := Profile{
-		N:     pt.N(),
-		Procs: pt.Procs(),
-		Banks: banks,
-	}
-	bankLoad := make([]int, banks)
-	addrs := make([]uint64, 0, prof.N)
-	for _, per := range pt.PerProc {
-		if len(per) > prof.MaxH {
-			prof.MaxH = len(per)
-		}
-		for _, a := range per {
-			bankLoad[bm.Bank(a)]++
-		}
-		addrs = append(addrs, per...)
-	}
-	for _, k := range bankLoad {
-		if k > prof.MaxK {
-			prof.MaxK = k
-		}
-	}
+	loads, bankLoad := bankLoads(pt, bm)
+	prof := Profile{Loads: loads}
+	addrs := slices.Concat(pt.PerProc...)
 	// Location contention (MaxLoc, DistinctLocs) and distinct locations
 	// per bank come from one sort-and-scan over a flat copy of the
 	// addresses: equal addresses form runs, each run is one distinct
 	// location. A map[uint64]int would compute the same quantities, but
 	// costs hundreds of bucket allocations and more wall clock at the
-	// 64K-request scale the experiments sweep (this function sits on the
-	// runner's per-point hot path next to sim.Run).
+	// 64K-request scale the experiments sweep (the vector machine
+	// profiles every irregular superstep).
 	sortAddrs(addrs)
-	distinct := make([]int, banks)
+	distinct := make([]int, prof.Banks)
 	for i := 0; i < len(addrs); {
 		j := i + 1
 		for j < len(addrs) && addrs[j] == addrs[i] {

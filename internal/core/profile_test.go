@@ -144,22 +144,41 @@ func TestProfileBankStride(t *testing.T) {
 	}
 }
 
+// The compact profile and the load pass agree with the full profile on
+// every field they carry: random, empty and ragged patterns, under the
+// interleaved and the GPU shared-memory maps.
 func TestProfileCompactMatches(t *testing.T) {
 	g := rng.New(9)
 	addrs := make([]uint64, 500)
 	for i := range addrs {
 		addrs[i] = g.Uint64n(1000)
 	}
-	pt := NewPattern(addrs, 8)
-	bm := InterleaveMap{Banks: 64}
-	full := ComputeProfile(pt, bm)
-	compact := ComputeProfileCompact(pt, bm)
-	if full.MaxK != compact.MaxK || full.MaxLoc != compact.MaxLoc ||
-		full.MaxH != compact.MaxH || full.DistinctLocs != compact.DistinctLocs {
-		t.Errorf("compact profile differs: %+v vs %+v", full, compact)
+	ragged := Pattern{PerProc: [][]uint64{{5, 5, 9}, nil, {1 << 40}, {7, 6, 5, 4, 3}}}
+	patterns := map[string]Pattern{
+		"random":  NewPattern(addrs, 8),
+		"empty":   NewPattern(nil, 8),
+		"ragged":  ragged,
+		"blocked": NewPatternBlocked(addrs[:37], 5),
 	}
-	if compact.BankLoads != nil {
-		t.Error("compact profile retained BankLoads")
+	maps := []BankMap{InterleaveMap{Banks: 64}, GPUSharedMap{Banks: 32}}
+	for name, pt := range patterns {
+		for _, bm := range maps {
+			full := ComputeProfile(pt, bm)
+			compact := ComputeProfileCompact(pt, bm)
+			if full.Loads != compact.Loads || full.MaxLoc != compact.MaxLoc ||
+				full.DistinctLocs != compact.DistinctLocs || full.MaxKDistinct != compact.MaxKDistinct {
+				t.Errorf("%s %T: compact profile differs: %+v vs %+v", name, bm, full, compact)
+			}
+			if compact.BankLoads != nil {
+				t.Errorf("%s %T: compact profile retained BankLoads", name, bm)
+			}
+			if loads := ComputeLoads(pt, bm); loads != full.Loads {
+				t.Errorf("%s %T: ComputeLoads = %+v, profile has %+v", name, bm, loads, full.Loads)
+			}
+		}
+	}
+	if l := ComputeLoads(ragged, InterleaveMap{Banks: 4}); l != (Loads{N: 9, Procs: 4, Banks: 4, MaxH: 5, MaxK: 4}) {
+		t.Errorf("ragged loads = %+v", l)
 	}
 }
 
@@ -208,7 +227,14 @@ func TestProfileInvariantsProperty(t *testing.T) {
 			addrs[i] = g.Uint64n(m)
 		}
 		pt := NewPattern(addrs, 8)
-		prof := ComputeProfile(pt, InterleaveMap{Banks: 64})
+		bm := BankMap(InterleaveMap{Banks: 64})
+		if seed%2 == 1 {
+			bm = GPUSharedMap{Banks: 64}
+		}
+		prof := ComputeProfile(pt, bm)
+		if ComputeLoads(pt, bm) != prof.Loads {
+			return false
+		}
 		// Invariants from the definitions:
 		// κ <= k <= n; h = ceil(n/p); distinct <= n; k >= ceil(n/banks).
 		if prof.MaxLoc > prof.MaxK || prof.MaxK > n {

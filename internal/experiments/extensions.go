@@ -43,12 +43,12 @@ func expX1() Experiment {
 					cont := patterns.Contention(n, k, 1)
 					ratio := func(addrs []uint64) (float64, error) {
 						pt := core.NewPattern(addrs, m.Procs)
-						prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+						loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 						r, err := cfg.RunSim(ctx, sim.Config{Machine: m}, pt)
 						if err != nil {
 							return 0, err
 						}
-						return r.Cycles / m.PredictDXBSP(prof), nil
+						return r.Cycles / m.PredictDXBSP(loads), nil
 					}
 					rr, err := ratio(rand)
 					if err != nil {
@@ -89,7 +89,7 @@ func expX2() Experiment {
 					m := core.J90()
 					a := patterns.Contention(n, k, 1)
 					pt := core.NewPattern(a, m.Procs)
-					prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+					loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 					plain, err := cfg.RunSim(ctx, sim.Config{Machine: m}, pt)
 					if err != nil {
 						return nil, err
@@ -102,7 +102,7 @@ func expX2() Experiment {
 						core.CyclesPerElement(plain.Cycles, n, m.Procs),
 						core.CyclesPerElement(cached.Cycles, n, m.Procs),
 						float64(cached.RowHits)/float64(n),
-						core.CyclesPerElement(m.PredictDXBSP(prof), n, m.Procs)), nil
+						core.CyclesPerElement(m.PredictDXBSP(loads), n, m.Procs)), nil
 				}))
 			}
 			return pts
@@ -204,15 +204,15 @@ func expX5() Experiment {
 					lp := core.FromMachine(m, 0.5) // modest per-message overhead
 					a := patterns.Contention(n, k, 1)
 					pt := core.NewPattern(a, m.Procs)
-					prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+					loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 					r, err := cfg.RunSim(ctx, sim.Config{Machine: m}, pt)
 					if err != nil {
 						return nil, err
 					}
 					return oneRow(k,
 						core.CyclesPerElement(r.Cycles, n, m.Procs),
-						core.CyclesPerElement(lp.BulkCostProfile(prof), n, m.Procs),
-						core.CyclesPerElement(lp.LogPBulkCost(prof.MaxH), n, m.Procs)), nil
+						core.CyclesPerElement(lp.BulkCostProfile(loads), n, m.Procs),
+						core.CyclesPerElement(lp.LogPBulkCost(loads.MaxH), n, m.Procs)), nil
 				}))
 			}
 			return pts
@@ -352,7 +352,7 @@ func expX8() Experiment {
 					m := core.J90()
 					a := patterns.Zipf(n, n, s, rng.New(cfg.Seed))
 					kappa := patterns.MaxContention(a)
-					simC, dx, bsp, err := runScatter(ctx, cfg, m, a, false)
+					simC, dx, bsp, _, err := runScatter(ctx, cfg, m, a)
 					if err != nil {
 						return nil, err
 					}

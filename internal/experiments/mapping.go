@@ -43,14 +43,14 @@ func expF6() Experiment {
 					for _, d := range []float64{6, 14} {
 						m := core.Machine{Name: "exp", Procs: 8, Banks: int(8 * x), D: d, G: 1, L: 0}
 						pt := core.NewPattern(addrs, m.Procs)
-						prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+						loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 						r, err := cfg.RunSim(ctx, sim.Config{Machine: m}, pt)
 						if err != nil {
 							return nil, err
 						}
 						row = append(row,
 							core.CyclesPerElement(r.Cycles, n, m.Procs),
-							core.CyclesPerElement(m.PredictDXBSP(prof), n, m.Procs))
+							core.CyclesPerElement(m.PredictDXBSP(loads), n, m.Procs))
 					}
 					row = append(row, 1.0) // g cycles/element: the no-contention asymptote
 					return tableRows{row}, nil

@@ -19,16 +19,17 @@ import (
 // calibration), T3 (hash costs), and figures F1–F5.
 
 // runScatter simulates a scatter of the addresses on machine m and returns
-// (simulated cycles, (d,x)-BSP prediction, BSP prediction). The simulation
-// routes through cfg.RunSim so the runner's memo cache sees it.
-func runScatter(ctx context.Context, cfg Config, m core.Machine, addrs []uint64, useSections bool) (simC, dx, bsp float64, err error) {
+// (simulated cycles, (d,x)-BSP prediction, BSP prediction, the pattern's
+// bank loads). The simulation routes through cfg.RunSim so the runner's
+// memo cache sees it.
+func runScatter(ctx context.Context, cfg Config, m core.Machine, addrs []uint64) (simC, dx, bsp float64, loads core.Loads, err error) {
 	pt := core.NewPattern(addrs, m.Procs)
-	prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
-	r, err := cfg.RunSim(ctx, sim.Config{Machine: m, UseSections: useSections}, pt)
+	loads = core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
+	r, err := cfg.RunSim(ctx, sim.Config{Machine: m}, pt)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, core.Loads{}, err
 	}
-	return r.Cycles, m.PredictDXBSP(prof), m.PredictBSP(prof), nil
+	return r.Cycles, m.PredictDXBSP(loads), m.PredictBSP(loads), loads, nil
 }
 
 // expT2 calibrates the simulated machines the way the paper calibrated the
@@ -51,7 +52,7 @@ func expT2() Experiment {
 					n := cfg.N
 					// Effective gap: unit-stride addresses, bandwidth bound.
 					flat := patterns.Strided(n, 0, 1)
-					simFlat, _, _, err := runScatter(ctx, cfg, m, flat, false)
+					simFlat, _, _, _, err := runScatter(ctx, cfg, m, flat)
 					if err != nil {
 						return nil, err
 					}
@@ -59,7 +60,7 @@ func expT2() Experiment {
 
 					// Effective delay: all requests to one location.
 					hot := patterns.AllSame(n/8, 0)
-					simHot, _, _, err := runScatter(ctx, cfg, m, hot, false)
+					simHot, _, _, _, err := runScatter(ctx, cfg, m, hot)
 					if err != nil {
 						return nil, err
 					}
@@ -70,7 +71,7 @@ func expT2() Experiment {
 					kMeas := 0
 					for k := 1; k <= n; k *= 2 {
 						a := patterns.Contention(n, k, 1)
-						s, _, _, err := runScatter(ctx, cfg, m, a, false)
+						s, _, _, _, err := runScatter(ctx, cfg, m, a)
 						if err != nil {
 							return nil, err
 						}
@@ -154,8 +155,8 @@ func expF1() Experiment {
 				pts = append(pts, point{
 					kappa:    prof.MaxLoc,
 					simPer:   core.CyclesPerElement(cycles, prof.N, m.Procs),
-					dxPer:    core.CyclesPerElement(m.PredictDXBSP(prof), prof.N, m.Procs),
-					bspPer:   core.CyclesPerElement(m.PredictBSP(prof), prof.N, m.Procs),
+					dxPer:    core.CyclesPerElement(m.PredictDXBSP(prof.Loads), prof.N, m.Procs),
+					bspPer:   core.CyclesPerElement(m.PredictBSP(prof.Loads), prof.N, m.Procs),
 					requests: prof.N,
 				})
 			}))
@@ -220,11 +221,11 @@ func expF2() Experiment {
 				pts = append(pts, newPoint(fmt.Sprintf("k=%d", k), func(ctx context.Context, cfg Config) (tableRows, error) {
 					j90, c90 := core.J90(), core.C90()
 					a := patterns.Contention(n, k, 1)
-					js, jdx, jbsp, err := runScatter(ctx, cfg, j90, a, false)
+					js, jdx, jbsp, _, err := runScatter(ctx, cfg, j90, a)
 					if err != nil {
 						return nil, err
 					}
-					cs, cdx, _, err := runScatter(ctx, cfg, c90, a, false)
+					cs, cdx, _, _, err := runScatter(ctx, cfg, c90, a)
 					if err != nil {
 						return nil, err
 					}
@@ -261,9 +262,7 @@ func expF3() Experiment {
 				pts = append(pts, newPoint(fmt.Sprintf("m=%d", sz), func(ctx context.Context, cfg Config) (tableRows, error) {
 					m := core.J90()
 					a := patterns.Uniform(n, uint64(sz), sub.Clone())
-					pt := core.NewPattern(a, m.Procs)
-					prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
-					s, dx, bsp, err := runScatter(ctx, cfg, m, a, false)
+					s, dx, bsp, loads, err := runScatter(ctx, cfg, m, a)
 					if err != nil {
 						return nil, err
 					}
@@ -271,7 +270,7 @@ func expF3() Experiment {
 						core.CyclesPerElement(s, n, m.Procs),
 						core.CyclesPerElement(dx, n, m.Procs),
 						core.CyclesPerElement(bsp, n, m.Procs),
-						prof.MaxK), nil
+						loads.MaxK), nil
 				}))
 			}
 			return pts
@@ -301,7 +300,7 @@ func expF4() Experiment {
 					a := patterns.Entropy(n, uint64(n), r, rng.New(cfg.Seed))
 					h := patterns.MeasureEntropy(a)
 					kappa := patterns.MaxContention(a)
-					s, dx, bsp, err := runScatter(ctx, cfg, m, a, false)
+					s, dx, bsp, _, err := runScatter(ctx, cfg, m, a)
 					if err != nil {
 						return nil, err
 					}
@@ -357,12 +356,12 @@ func expF5() Experiment {
 				a := mk(v)
 				pts = append(pts, newPoint("("+v+")", func(ctx context.Context, cfg Config) (tableRows, error) {
 					pt := core.NewPattern(a, m.Procs)
-					prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+					loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 					r, err := cfg.RunSim(ctx, sim.Config{Machine: m, UseSections: true}, pt)
 					if err != nil {
 						return nil, err
 					}
-					dx := m.PredictDXBSP(prof)
+					dx := m.PredictDXBSP(loads)
 					return oneRow("("+v+")",
 						core.CyclesPerElement(r.Cycles, n, m.Procs),
 						core.CyclesPerElement(dx, n, m.Procs),

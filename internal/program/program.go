@@ -187,9 +187,9 @@ func CostWith(p Program, m core.Machine, o float64, simulate, surr bool) (Report
 			prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
 			sc.Requests = prof.N
 			sc.Kappa = prof.MaxLoc
-			sc.BSP = m.PredictBSP(prof)
-			sc.DXBSP = m.PredictDXBSP(prof)
-			sc.DXLogP = lp.BulkCostProfile(prof)
+			sc.BSP = m.PredictBSP(prof.Loads)
+			sc.DXBSP = m.PredictDXBSP(prof.Loads)
+			sc.DXLogP = lp.BulkCostProfile(prof.Loads)
 			if simulate {
 				r, err := sim.Run(sim.Config{Machine: m}, pt)
 				if err != nil {

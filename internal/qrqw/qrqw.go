@@ -193,8 +193,8 @@ func Emulate(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, 
 			}
 			cycles = r.Cycles + m.L
 		default:
-			prof := core.ComputeProfileCompact(pt, bm)
-			cycles = m.PredictDXBSP(prof)
+			loads := core.ComputeLoads(pt, bm)
+			cycles = m.PredictDXBSP(loads)
 		}
 		res.PerStep = append(res.PerStep, cycles)
 		res.Cycles += cycles

@@ -18,8 +18,8 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
-	fmt.Printf("simulated %.0f, predicted %.0f cycles\n", r.Cycles, m.PredictDXBSP(prof))
+	loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
+	fmt.Printf("simulated %.0f, predicted %.0f cycles\n", r.Cycles, m.PredictDXBSP(loads))
 	fmt.Printf("one bank served %d requests\n", r.MaxBankServed)
 	// Output:
 	// simulated 14336, predicted 14336 cycles

@@ -46,15 +46,15 @@ func TestPropertyLowerBounds(t *testing.T) {
 	m := testMachine()
 	f := func(seed uint64, nRaw uint16) bool {
 		pt := randPattern(seed, nRaw, m)
-		prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+		loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 		r, err := Run(Config{Machine: m}, pt)
 		if err != nil {
 			return false
 		}
-		if r.Cycles < m.D*float64(prof.MaxK)-1e-9 {
+		if r.Cycles < m.D*float64(loads.MaxK)-1e-9 {
 			return false
 		}
-		return r.Cycles >= m.G*float64(prof.MaxH)-1e-9
+		return r.Cycles >= m.G*float64(loads.MaxH)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -110,12 +110,12 @@ func TestPropertyModelEnvelope(t *testing.T) {
 	m := core.J90()
 	f := func(seed uint64, nRaw uint16) bool {
 		pt := randPattern(seed, nRaw, m)
-		prof := core.ComputeProfileCompact(pt, core.InterleaveMap{Banks: m.Banks})
+		loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 		r, err := Run(Config{Machine: m}, pt)
 		if err != nil {
 			return false
 		}
-		pred := m.PredictDXBSP(prof)
+		pred := m.PredictDXBSP(loads)
 		ratio := r.Cycles / pred
 		return ratio > 0.5 && ratio < 3.0
 	}

@@ -104,18 +104,18 @@ func TestSimMatchesModelAcrossContention(t *testing.T) {
 			addrs[i] = uint64(i % (n / k))
 		}
 		pt := core.NewPattern(addrs, m.Procs)
-		prof := core.ComputeProfile(pt, core.InterleaveMap{Banks: m.Banks})
+		loads := core.ComputeLoads(pt, core.InterleaveMap{Banks: m.Banks})
 		r, err := Run(Config{Machine: m}, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := m.PredictDXBSP(prof)
+		pred := m.PredictDXBSP(loads)
 		ratio := r.Cycles / pred
 		if ratio < 0.7 || ratio > 2.0 {
 			t.Errorf("k=%d: sim=%v dxbsp=%v ratio=%.2f outside [0.7,2.0]", k, r.Cycles, pred, ratio)
 		}
 		if k == n {
-			bsp := m.PredictBSP(prof)
+			bsp := m.PredictBSP(loads)
 			if r.Cycles < 5*bsp {
 				t.Errorf("k=n: BSP prediction %v should be wildly below sim %v", bsp, r.Cycles)
 			}

@@ -58,7 +58,7 @@ func FuzzSurrogateBounds(f *testing.F) {
 		}
 
 		c := cfg.Normalize()
-		p := core.ComputeProfileCompact(pt, c.BankMap)
+		p := core.ComputeLoads(pt, c.BankMap)
 		m := c.Machine
 		dEff := m.D
 		if s.Regulated {

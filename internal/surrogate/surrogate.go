@@ -110,8 +110,7 @@ func effectiveBankDelay(c sim.Config) float64 {
 }
 
 // Predict returns the closed-form result for simulating pt under cfg,
-// using the pattern's exact contention profile (max h, max k) in the
-// cost law. The returned Result has Analytic set, Cycles from the
+// using the pattern's exact bank loads (max h, max k) in the cost law. The returned Result has Analytic set, Cycles from the
 // model, and the profile-derivable counters (Requests, BankServices,
 // MaxBankServed) filled; queue high-water marks and discipline counters
 // are zero. Ineligible configs return the same typed errors as
@@ -121,7 +120,7 @@ func Predict(cfg sim.Config, pt core.Pattern) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	c := cfg.Normalize()
-	p := core.ComputeProfileCompact(pt, c.BankMap)
+	p := core.ComputeLoads(pt, c.BankMap)
 	cycles := predictCycles(c, p.N, p.MaxH, p.MaxK)
 	return sim.Result{
 		Cycles:        cycles,

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dxbsp/internal/core"
+	"dxbsp/internal/patterns"
+	"dxbsp/internal/rng"
 	"dxbsp/internal/sim"
 )
 
@@ -219,7 +221,7 @@ func TestRegimeClassification(t *testing.T) {
 func TestCrossoverContinuity(t *testing.T) {
 	s := SweepSpec{Procs: 8, X: 4, D: 1, G: 2, L: 16, Fam: FamZipf, N: 2048, Seed: 11}
 	cfg, pt := s.Build()
-	p := core.ComputeProfileCompact(pt, cfg.Normalize().BankMap)
+	p := core.ComputeLoads(pt, cfg.Normalize().BankMap)
 	const step = 0.01
 	prev := math.NaN()
 	for d := 0.2; d < 6; d += step {
@@ -254,5 +256,23 @@ func TestPinnedEnvelopeLoads(t *testing.T) {
 	}
 	if got := MaxRelErr(dram); got != worst {
 		t.Errorf("unswept regime bound %v, want worst %v", got, worst)
+	}
+}
+
+// Predict reads only h and k, so at the F14 corner (p=4096, x=64,
+// n=262144) it allocates the per-bank histogram and the config
+// normalization's boxing, nothing n-sized: a copy or sort of the
+// addresses would show here as extra allocations.
+func TestPredictAllocs(t *testing.T) {
+	const p, x = 4096, 64
+	cfg := sim.Config{Machine: testMachine(p, x)}
+	pt := core.NewPattern(patterns.Uniform(64*p, 1<<40, rng.New(1)), p)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Predict(cfg, pt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Predict made %v allocs/op at p=%d x=%d, want <= 3", allocs, p, x)
 	}
 }

@@ -100,7 +100,9 @@ func TestWorkersShareManifestWithoutOverlap(t *testing.T) {
 	var mu sync.Mutex
 	executed := map[string]int{}
 	mkWorker := func(id string) *Worker {
-		return &Worker{Dir: d, Manifest: man, ID: id,
+		// A worker that finds every open range leased waits Poll before
+		// looking again; the default (TTL/4) would outlast the deadline.
+		return &Worker{Dir: d, Manifest: man, ID: id, Poll: time.Millisecond,
 			Exec: func(ctx context.Context, rg Range) error {
 				mu.Lock()
 				executed[rg.ID]++

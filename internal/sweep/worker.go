@@ -69,6 +69,14 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			if !ok {
 				continue
 			}
+			if w.Dir.IsDone(rg.ID) {
+				// Another worker finished the range and released its lease
+				// between our done check and our claim.
+				if err := w.Dir.Release(rg.ID); err != nil {
+					return completed, err
+				}
+				continue
+			}
 			claimedAny = true
 			w.Events.Emit(runner.Event{Type: "range_claimed", Worker: w.ID, Range: rg.ID, Experiment: rg.Experiment})
 			if err := w.runRange(ctx, rg); err != nil {

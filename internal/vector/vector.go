@@ -196,7 +196,7 @@ func (vm *Machine) irregularCost(op string, addrs []uint64) float64 {
 		}
 		cycles = r.Cycles + vm.mach.L
 	default:
-		cycles = vm.mach.PredictDXBSP(prof)
+		cycles = vm.mach.PredictDXBSP(prof.Loads)
 	}
 	if vm.trace != nil {
 		vm.trace(op, prof, cycles)
