@@ -184,6 +184,8 @@ func BenchmarkAblationWindow(b *testing.B) {
 
 // --- Microbenchmarks of the load-bearing primitives -----------------------
 
+// BenchmarkSimScatter64K times sim.Run on the paper's open-loop scatter,
+// which Run serves on the one-lane lockstep walk.
 func BenchmarkSimScatter64K(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
@@ -191,6 +193,23 @@ func BenchmarkSimScatter64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{Machine: m}, pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimScatter64KEvents is BenchmarkSimScatter64K on the event
+// engine (sim.NewEngine().Run), so the event loop's open-loop fast path
+// stays tracked now that Run routes this config to the lockstep walk.
+func BenchmarkSimScatter64KEvents(b *testing.B) {
+	m := core.J90()
+	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
+	eng := sim.NewEngine()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(ctx, sim.Config{Machine: m}, pt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -512,11 +531,13 @@ func BenchmarkSweepExpansion4Way(b *testing.B) { benchSweepExpansion(b, 4) }
 // BenchmarkBatchExpansion is the headline number for the batch engine: the
 // F6-shaped expansion grid (x × d, all FIFO, so every lane takes the
 // lockstep fast path) run as one 16-lane batch per iteration on a held
-// engine. The timed region is batch passes only; the scalar engine runs
-// the same configs once untimed to report the speedup. Two custom metrics:
+// engine. The timed region is batch passes only; the event engine
+// (sim.NewEngine().Run — sim.Run would route these open-loop configs to
+// the lockstep walk itself) runs the same configs once untimed to report
+// the speedup. Two custom metrics:
 // points/sec (batched simulation points per wall-clock second, single
-// goroutine — "per core") and xscalar (scalar time per point / batch time
-// per point). CI gates xscalar >= 3.
+// goroutine — "per core") and xscalar (event-engine time per point /
+// batch time per point). CI gates xscalar >= 3.
 func BenchmarkBatchExpansion(b *testing.B) {
 	var cfgs []sim.Config
 	for _, x := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
@@ -551,8 +572,9 @@ func BenchmarkBatchExpansion(b *testing.B) {
 	b.StopTimer()
 
 	scalarStart := time.Now()
+	scalar := sim.NewEngine()
 	for _, cfg := range cfgs {
-		if _, err := sim.Run(cfg, pt); err != nil {
+		if _, err := scalar.Run(ctx, cfg, pt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -606,8 +628,9 @@ func BenchmarkBatchExpansionWindowed(b *testing.B) {
 	b.StopTimer()
 
 	scalarStart := time.Now()
+	scalar := sim.NewEngine()
 	for _, cfg := range cfgs {
-		if _, err := sim.Run(cfg, pt); err != nil {
+		if _, err := scalar.Run(ctx, cfg, pt); err != nil {
 			b.Fatal(err)
 		}
 	}

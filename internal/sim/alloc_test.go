@@ -82,6 +82,8 @@ func TestProbesOffAllocBudget(t *testing.T) {
 	}{
 		{"open-loop", Config{Machine: m}},
 		{"windowed", Config{Machine: m, Window: 8}},
+		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}}},
+		{"dram", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}},
 	} {
 		// One warm-up run is included in AllocsPerRun's own averaging;
 		// rings and the event queue reach their high-water marks on the

@@ -38,8 +38,11 @@ import (
 // scalar engine inside the batch — still one call, still
 // byte-identical, just without the lockstep speedup.
 //
+// RunContext also runs every solo open-loop eligible config here, as a
+// one-lane batch (runSolo).
+//
 // Like Engine, a BatchEngine is single-run at a time and retains every
-// arena across Reset, so warm batches allocate nothing
+// arena across runs, so warm batches allocate nothing
 // (TestBatchEngineReuseZeroAllocs pins it).
 type BatchEngine struct {
 	// Per-lane parameter SoA, all len K. fast marks lockstep lanes.
@@ -53,7 +56,7 @@ type BatchEngine struct {
 	maxQ     []int32   // high-water queue depth over all banks
 	off      []int32   // lane's base index into the bank arenas
 
-	// Bank-map dispatch, resolved per lane at Reset: a tag plus argument
+	// Bank-map dispatch, resolved per lane at reset: a tag plus argument
 	// for the two interleave families, with the boxed interface retained
 	// only for custom maps (mapGeneric).
 	mk    []mapKind
@@ -147,19 +150,21 @@ type BatchEngine struct {
 	rCandA []int64   // candidate aux key: kind<<32 | seq
 	rComp  [][]compEv
 
-	laneIdx  []int32 // fast lanes in order, rebuilt per Reset
+	laneIdx  []int32 // fast lanes in order, rebuilt per reset
 	allPlain bool    // every fast lane is open-loop FIFO
 
 	beSorter busyEvSorter
 
 	// Per-lane boxed-default-BankMap caches, mirroring Engine.defMap:
-	// re-boxing the default interleave map every Reset would cost one
+	// re-boxing the default interleave map every reset would cost one
 	// allocation per lane per batch.
-	defMaps  []core.BankMap
-	defBanks []int
-	defGPU   []bool
+	defMaps []defaultMap
 
 	results []Result
+
+	// solo is the retained one-lane config slice RunContext's routed
+	// runs pass to reset, so a warm solo run allocates nothing.
+	solo [1]Config
 
 	// scalar runs the non-fast lanes; retained so their arenas pool too.
 	scalar Engine
@@ -354,9 +359,31 @@ func RunBatch(ctx context.Context, cfgs []Config, pt core.Pattern) ([]Result, er
 // simulates, with the error naming the lane. The returned slice is owned
 // by the engine and valid until the next Run or release.
 func (b *BatchEngine) Run(ctx context.Context, cfgs []Config, pt core.Pattern) ([]Result, error) {
-	if err := b.reset(cfgs, pt); err != nil {
-		return nil, err
+	if i, err := b.reset(cfgs, pt); err != nil {
+		return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 	}
+	return b.run(ctx, pt)
+}
+
+// runSolo simulates pt under the single config cfg as a one-lane batch:
+// RunContext's path for solo open-loop lockstep-eligible configs. Its
+// errors are Engine.Run's, without the lane prefix a batch adds.
+func (b *BatchEngine) runSolo(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
+	b.solo[0] = cfg
+	_, err := b.reset(b.solo[:], pt)
+	b.solo[0] = Config{}
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := b.run(ctx, pt)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// run simulates the lanes reset armed.
+func (b *BatchEngine) run(ctx context.Context, pt core.Pattern) ([]Result, error) {
 	// Non-fast lanes run first on the embedded scalar engine; lane order
 	// in the results is preserved regardless of execution order.
 	for i := range b.cfgs {
@@ -376,8 +403,9 @@ func (b *BatchEngine) Run(ctx context.Context, cfgs []Config, pt core.Pattern) (
 }
 
 // reset validates every lane and re-arms the SoA state, reusing retained
-// storage. Mirrors Engine.Reset lane by lane.
-func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
+// storage. It mirrors Engine.Run's validation lane by lane and returns
+// the first invalid lane's index with its unprefixed error.
+func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 	k := len(cfgs)
 	np := pt.Procs()
 	b.cfgs = growSlice(b.cfgs, k)
@@ -412,10 +440,8 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
 	b.busyEvs = growNested(b.busyEvs, k)
 	b.results = growSlice(b.results, k)
 	b.laneIdx = b.laneIdx[:0]
-	if cap(b.defMaps) < k {
-		b.defMaps = make([]core.BankMap, k)
-		b.defBanks = make([]int, k)
-		b.defGPU = make([]bool, k)
+	if len(b.defMaps) < k {
+		b.defMaps = make([]defaultMap, k)
 	}
 
 	// nonEmpty replays the scalar reset's initial injection scheduling:
@@ -431,29 +457,9 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
 	total, vTotal, wTotal := 0, 0, 0
 	b.allPlain = true
 	for i, cfg := range cfgs {
-		if err := cfg.Machine.Validate(); err != nil {
-			return fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		if cfg.BankMap == nil {
-			gpu := cfg.Bank.Discipline == GPUShared
-			if b.defMaps[i] == nil || b.defBanks[i] != cfg.Machine.Banks || b.defGPU[i] != gpu {
-				if gpu {
-					b.defMaps[i] = core.GPUSharedMap{Banks: cfg.Machine.Banks}
-				} else {
-					b.defMaps[i] = core.InterleaveMap{Banks: cfg.Machine.Banks}
-				}
-				b.defBanks[i] = cfg.Machine.Banks
-				b.defGPU[i] = gpu
-			}
-			cfg.BankMap = b.defMaps[i]
-		}
-		cfg = cfg.Normalize()
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		if pt.Procs() > cfg.Machine.Procs {
-			return fmt.Errorf("sim: batch lane %d: pattern has %d processor streams but machine has %d processors",
-				i, pt.Procs(), cfg.Machine.Procs)
+		cfg, err := prepare(cfg, pt, &b.defMaps[i])
+		if err != nil {
+			return i, err
 		}
 		b.cfgs[i] = cfg
 		b.fast[i] = BatchEligible(cfg)
@@ -571,7 +577,7 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
 	b.rCandT = growSlice(b.rCandT, np)
 	b.rCandA = growSlice(b.rCandA, np)
 	b.rComp = growNested(b.rComp, np)
-	return nil
+	return 0, nil
 }
 
 // growSlice returns s resized to length n, reusing capacity and zeroing
@@ -681,7 +687,7 @@ func (b *BatchEngine) runFast(ctx context.Context, pt core.Pattern) error {
 func (b *BatchEngine) runPlain(ctx context.Context, pt core.Pattern, maxLen int) error {
 	lanes := b.laneIdx
 	processed := 0
-	sincePoll := 0
+	sincePoll := batchPollRequests // poll before the first round too
 	for r := 0; r < maxLen; r++ {
 		if sincePoll >= batchPollRequests {
 			sincePoll = 0
@@ -746,7 +752,7 @@ func (b *BatchEngine) runMixed(ctx context.Context, pt core.Pattern, maxLen int)
 	b.runLanes = append(b.runLanes[:0], b.laneIdx...)
 	lanes := b.runLanes
 	processed := 0
-	sincePoll := 0
+	sincePoll := batchPollRequests // poll before the first round too
 	for r := 0; r < maxLen && len(lanes) > 0; r++ {
 		if sincePoll >= batchPollRequests {
 			sincePoll = 0

@@ -12,7 +12,8 @@ import (
 // for a randomized lane count, per-lane machine shapes (d, x, g,
 // NetDelay), per-lane bank disciplines and ragged per-lane issue
 // windows, every lane of one batch run must equal — field for field —
-// the scalar engine run of that lane alone. This covers the whole
+// the event engine's run of that lane alone (NewEngine().Run: Run itself
+// routes open-loop lanes through the lockstep walk under test). This covers the whole
 // lockstep regime (open- and closed-loop FIFO, ungrouped single-row
 // DRAM, Regulated — including lanes that window-stall into the per-lane
 // replay) and the embedded scalar fallback (grouped or multi-row DRAM,
@@ -129,7 +130,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 			t.Fatalf("RunBatch: %v", err)
 		}
 		for i, cfg := range cfgs {
-			want, err := Run(cfg, pt)
+			want, err := NewEngine().Run(context.Background(), cfg, pt)
 			if err != nil {
 				t.Fatalf("lane %d scalar: %v", i, err)
 			}

@@ -58,7 +58,9 @@ func batchGoldenPattern() core.Pattern {
 
 // TestBatchMatchesScalarGolden128 is the golden differential: one
 // 128-lane batch across all four disciplines, every lane compared
-// field-for-field against the scalar engine run alone.
+// field-for-field against the event engine run alone. The oracle is
+// NewEngine().Run, not Run: Run routes open-loop lanes through the
+// lockstep walk under test.
 func TestBatchMatchesScalarGolden128(t *testing.T) {
 	cfgs := batchGoldenConfigs()
 	if len(cfgs) != 128 {
@@ -77,7 +79,7 @@ func TestBatchMatchesScalarGolden128(t *testing.T) {
 		if BatchEligible(cfg) {
 			fast++
 		}
-		want, err := Run(cfg, pt)
+		want, err := NewEngine().Run(context.Background(), cfg, pt)
 		if err != nil {
 			t.Fatalf("lane %d scalar: %v", i, err)
 		}
@@ -117,7 +119,7 @@ func TestBatchMatchesScalarCustomMapAndShapes(t *testing.T) {
 		if !BatchEligible(cfg) {
 			t.Fatalf("lane %d unexpectedly ineligible", i)
 		}
-		want, err := Run(cfg, pt)
+		want, err := NewEngine().Run(context.Background(), cfg, pt)
 		if err != nil {
 			t.Fatalf("lane %d scalar: %v", i, err)
 		}
@@ -220,7 +222,7 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	// prefix, and the full batch again (grow). Lane slots keep a stable
 	// discipline so the per-slot default-map caches stay warm, while the
 	// embedded scalar engine flips FIFO→DRAM→Regulated→GPU within every
-	// full batch — the discipline-change Reset path. The windowed lanes
+	// full batch — the discipline-change reset path. The windowed lanes
 	// (tight FIFO and DRAM windows that stall into the per-lane replay,
 	// a windowed Regulated lane) pin the closed-loop arenas — completion
 	// heaps, dequeue rings, replay scratch — as retained too.
@@ -274,5 +276,35 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 	if res[0].Cycles != 0 || res[0].Requests != 0 {
 		t.Errorf("empty pattern result: %+v", res[0])
+	}
+}
+
+// TestRunRoutesOnlyOpenLoopEligible pins RunContext's routing rule: the
+// open-loop lockstep-eligible disciplines take the one-lane walk, and
+// every windowed, probed or structurally ineligible config stays on the
+// event engine.
+func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
+	m := core.Machine{Name: "r", Procs: 4, Banks: 32, D: 4, G: 1, L: 2, Sections: 4, SectionGap: 1}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"fifo", Config{Machine: m}, true},
+		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}}, true},
+		{"dram single row", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}, true},
+		{"fifo windowed", Config{Machine: m, Window: 2}, false},
+		{"regulated windowed", Config{Machine: m, Window: 2, Bank: BankConfig{Discipline: Regulated}}, false},
+		{"probe", Config{Machine: m, Probe: &countingProbe{}}, false},
+		{"sections", Config{Machine: m, UseSections: true}, false},
+		{"combining", Config{Machine: m, Combining: true}, false},
+		{"row cache", Config{Machine: m, BankCacheLines: 1}, false},
+		{"gpu", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared}}, false},
+		{"dram groups", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 4}}, false},
+		{"dram multirow", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}, false},
+	} {
+		if got := lockstepSolo(tc.cfg); got != tc.want {
+			t.Errorf("%s: lockstepSolo = %t, want %t", tc.name, got, tc.want)
+		}
 	}
 }

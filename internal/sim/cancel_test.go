@@ -75,3 +75,21 @@ func TestRunContextSmallPattern(t *testing.T) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
 	}
 }
+
+// A batch polls its context before the first lockstep round, so even one
+// too short to reach a mid-run poll (here 2 lanes × 1024 requests, under
+// batchPollRequests lane-requests) honors a context cancelled up front.
+func TestRunBatchCancelledShort(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := testMachine()
+	cfgs := []Config{{Machine: m}, {Machine: m, Bank: BankConfig{Discipline: Regulated}}}
+	pt := core.NewPattern(seqAddrs(1024), 4)
+	if 2*pt.N() > batchPollRequests {
+		t.Fatalf("pattern of %d requests is not short", pt.N())
+	}
+	_, err := RunBatch(ctx, cfgs, pt)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error %v does not wrap context.Canceled", err)
+	}
+}

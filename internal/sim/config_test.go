@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -82,12 +83,47 @@ func TestValidateRejectsBadKnobs(t *testing.T) {
 	}
 }
 
-// Run must reject what Validate rejects, as a typed error.
+// Run must reject what Validate rejects, as a typed error. Run routes
+// open-loop lockstep-eligible configs to a one-lane batch and the rest to
+// the event engine; a solo caller must see the event engine's errors on
+// either path, never the batch's lane prefix.
 func TestRunReturnsConfigError(t *testing.T) {
 	m := core.Machine{Name: "n", Procs: 4, Banks: 32, D: 4, G: 1, L: 10}
-	_, err := Run(Config{Machine: m, Window: -3}, core.NewPattern(seqAddrs(8), 2))
-	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Field != "Window" {
-		t.Errorf("Run error = %v, want ConfigError on Window", err)
+	pt := core.NewPattern(seqAddrs(8), 2)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		pt    core.Pattern
+		field string // "" when the error is not a *ConfigError
+	}{
+		{"negative window", Config{Machine: m, Window: -3}, pt, "Window"},
+		{"negative net delay", Config{Machine: m, NetDelay: -2}, pt, "NetDelay"},
+		{"negative cache lines", Config{Machine: m, BankCacheLines: -1}, pt, "BankCacheLines"},
+		{"bank map size", Config{Machine: m, BankMap: core.InterleaveMap{Banks: 16}}, pt, "BankMap"},
+		{"dram miss delay", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, MissDelay: -1}}, pt, "Bank.MissDelay"},
+		{"regulated budget", Config{Machine: m, Bank: BankConfig{Discipline: Regulated, RegBudget: -1}}, pt, "Bank.RegBudget"},
+		{"bad machine", Config{Machine: core.Machine{Name: "z", Procs: 4, Banks: 0, D: 4, G: 1}}, pt, ""},
+		{"too many streams", Config{Machine: m}, core.NewPattern(seqAddrs(8), 8), ""},
+	} {
+		err := requireSameRunError(t, tc.name, tc.cfg, tc.pt)
+		var ce *ConfigError
+		if tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field) {
+			t.Errorf("%s: Run error = %v, want ConfigError on %s", tc.name, err, tc.field)
+		}
 	}
+}
+
+// requireSameRunError fails unless Run and the event engine both reject
+// cfg with the identical error string, and returns Run's error.
+func requireSameRunError(t *testing.T, name string, cfg Config, pt core.Pattern) error {
+	t.Helper()
+	_, runErr := Run(cfg, pt)
+	_, evErr := NewEngine().Run(context.Background(), cfg, pt)
+	switch {
+	case runErr == nil || evErr == nil:
+		t.Errorf("%s: Run error %v, event engine error %v; want both to fail", name, runErr, evErr)
+	case runErr.Error() != evErr.Error():
+		t.Errorf("%s: Run error %q differs from event engine error %q", name, runErr, evErr)
+	}
+	return runErr
 }

@@ -13,7 +13,7 @@ import (
 // cycles per request; the other disciplines open the same (p, x, d, g, L)
 // skeleton to modern-memory scenarios.
 //
-// Dispatch is resolved once per Engine.Reset into a tag the event loop
+// Dispatch is resolved once per run (engine.reset) into a tag the event loop
 // switches on — never an interface call per event — so every discipline
 // inherits the engine's allocation-free steady state (see DESIGN.md §12).
 type Discipline uint8

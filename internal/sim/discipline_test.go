@@ -239,5 +239,7 @@ func TestValidateBankErrorFields(t *testing.T) {
 		if ce.Field != tc.field {
 			t.Errorf("%s: error names field %q, want %q", tc.name, ce.Field, tc.field)
 		}
+		// Run reports the same error whichever path the config routes to.
+		requireSameRunError(t, tc.name, tc.cfg, core.NewPattern(seqAddrs(8), 2))
 	}
 }

@@ -40,7 +40,7 @@
 //     over word-interleaved banks (bank = addr/4 mod banks), and lanes that
 //     conflict on a bank serialize as warp replays.
 //
-// Dispatch is resolved once per Engine.Reset and the event loop switches on
+// Dispatch is resolved once per run and the event loop switches on
 // a discipline tag, so adding disciplines costs the FIFO hot path nothing;
 // TestEngineReuseZeroAllocs and the SimScatter64K benchmark gate pin this.
 // RunReference implements every discipline independently as a per-clock
@@ -51,11 +51,16 @@
 // Run simulates one superstep; RunSupersteps chains several with a barrier
 // between each. Both are thin wrappers over their context variants
 // (RunContext, RunSuperstepsContext), which add cooperative cancellation.
-// These entry points execute on pooled engines, so steady-state runs
-// allocate nothing.
+// RunContext picks the path from the config alone: open-loop configs the
+// lockstep walk can serve (Window == 0 && BatchEligible) run as a one-lane
+// batch on a pooled BatchEngine, every other config on a pooled event
+// Engine. Both paths are byte-identical to the event engine and allocate
+// nothing in the steady state.
 //
-// Callers that manage their own reuse — a benchmark harness, a worker pool
-// with per-worker engines — can hold an Engine directly: NewEngine for an
-// unpooled instance, or AcquireEngine/ReleaseEngine to borrow from the
-// package pool that Run itself uses.
+// Engine is the event engine itself, whatever the config. Callers that
+// manage their own reuse — a benchmark harness, a worker pool with
+// per-worker engines — or that need the event loop as an oracle can hold
+// one directly: NewEngine for an unpooled instance, or
+// AcquireEngine/ReleaseEngine to borrow from the package pool that
+// RunContext's event path uses.
 package sim

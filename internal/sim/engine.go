@@ -7,13 +7,19 @@ import (
 	"dxbsp/internal/core"
 )
 
-// Engine is a reusable simulator instance. A fresh Engine behaves exactly
-// like Run; the difference is lifecycle: Reset re-arms the same instance
-// for another run while retaining every internal allocation — the
-// calendar-queue buckets, the per-bank and per-section rings, the
-// processor and bank bookkeeping slices — so a sweep that runs thousands
-// of same-shaped simulations through one Engine allocates only on the
-// first (TestEngineReuseZeroAllocs pins the second run at zero).
+// Engine is the event-driven simulator: the wheel-scheduled event loop
+// every configuration can run on. The package-level Run and RunContext
+// pick the path per config — open-loop lockstep-eligible configs take
+// the BatchEngine's one-lane walk, everything else this engine — while
+// Engine.Run always runs the event loop, so it stays the independent
+// oracle the lockstep paths are tested against.
+//
+// Each Run re-arms the same instance while retaining every internal
+// allocation — the calendar-queue buckets, the per-bank and per-section
+// rings, the processor and bank bookkeeping slices — so a sweep that
+// runs thousands of same-shaped simulations through one Engine allocates
+// only on the first (TestEngineReuseZeroAllocs pins the second run at
+// zero).
 //
 // An Engine is single-run at a time and not safe for concurrent use;
 // pools (the runner keeps one per worker via sync.Pool) must hand an
@@ -21,64 +27,70 @@ import (
 type Engine struct {
 	eng engine
 
-	// defMap caches the boxed default BankMap (interleave, or the GPU
-	// word-interleaved map under the GPUShared discipline) so repeated
-	// runs of a BankMap-less config do not re-box it into the interface
-	// every Reset (one allocation per run otherwise). Engine-owned and
-	// stateless, so it survives release and pins nothing.
-	defMap   core.BankMap
-	defBanks int
-	defGPU   bool
+	// defMap caches the boxed default BankMap so repeated runs of a
+	// BankMap-less config do not re-box it every run.
+	defMap defaultMap
 }
 
-// NewEngine returns an empty Engine. The first Run (or Reset) sizes its
-// storage to the configuration; later runs reuse it whenever the shape
-// still fits.
+// NewEngine returns an empty Engine. The first Run sizes its storage to
+// the configuration; later runs reuse it whenever the shape still fits.
 func NewEngine() *Engine { return &Engine{} }
 
-// Reset validates cfg and pt and re-arms the engine for one run of pt
-// under cfg, reusing retained storage. It performs the same checks as
-// Run and returns the same errors. Callers normally use Run, which is
-// Reset plus the event loop; Reset exists separately so a pool can
-// pre-warm an engine's allocations ahead of the timed region.
-func (E *Engine) Reset(cfg Config, pt core.Pattern) error {
+// Run validates cfg and pt, re-arms the engine's retained storage and
+// simulates one superstep of pt under cfg on the event loop, with the
+// same cancellation contract as RunContext. Results are byte-identical
+// to Run/RunContext for the same inputs regardless of what the engine
+// simulated before, and so are the errors.
+func (E *Engine) Run(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
+	cfg, err := prepare(cfg, pt, &E.defMap)
+	if err != nil {
+		return Result{}, err
+	}
+	E.eng.reset(cfg, pt)
+	return E.eng.simulate(ctx)
+}
+
+// defaultMap caches the boxed default BankMap (interleave, or the GPU
+// word-interleaved map under the GPUShared discipline) for one engine or
+// batch lane: boxing the map into the interface every run would cost one
+// allocation per run. It holds no run state, so it survives release and
+// pins nothing.
+type defaultMap struct {
+	m     core.BankMap
+	banks int
+	gpu   bool
+}
+
+// prepare is the validation every engine performs before it simulates:
+// it fills in the default bank map from dm, normalizes cfg, and checks
+// the machine, the knobs and pt's processor count. The errors are the
+// ones Run returns.
+func prepare(cfg Config, pt core.Pattern, dm *defaultMap) (Config, error) {
 	if err := cfg.Machine.Validate(); err != nil {
-		return err
+		return Config{}, err
 	}
 	if cfg.BankMap == nil {
 		gpu := cfg.Bank.Discipline == GPUShared
-		if E.defMap == nil || E.defBanks != cfg.Machine.Banks || E.defGPU != gpu {
+		if dm.m == nil || dm.banks != cfg.Machine.Banks || dm.gpu != gpu {
 			if gpu {
-				E.defMap = core.GPUSharedMap{Banks: cfg.Machine.Banks}
+				dm.m = core.GPUSharedMap{Banks: cfg.Machine.Banks}
 			} else {
-				E.defMap = core.InterleaveMap{Banks: cfg.Machine.Banks}
+				dm.m = core.InterleaveMap{Banks: cfg.Machine.Banks}
 			}
-			E.defBanks = cfg.Machine.Banks
-			E.defGPU = gpu
+			dm.banks = cfg.Machine.Banks
+			dm.gpu = gpu
 		}
-		cfg.BankMap = E.defMap
+		cfg.BankMap = dm.m
 	}
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
-		return err
+		return Config{}, err
 	}
 	if pt.Procs() > cfg.Machine.Procs {
-		return fmt.Errorf("sim: pattern has %d processor streams but machine has %d processors",
+		return Config{}, fmt.Errorf("sim: pattern has %d processor streams but machine has %d processors",
 			pt.Procs(), cfg.Machine.Procs)
 	}
-	E.eng.reset(cfg, pt)
-	return nil
-}
-
-// Run resets the engine and simulates one superstep of pt under cfg,
-// with the same cancellation contract as RunContext. Results are
-// byte-identical to Run/RunContext for the same inputs regardless of
-// what the engine simulated before.
-func (E *Engine) Run(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
-	if err := E.Reset(cfg, pt); err != nil {
-		return Result{}, err
-	}
-	return E.eng.simulate(ctx)
+	return cfg, nil
 }
 
 // release drops every reference the engine borrowed from its last run's

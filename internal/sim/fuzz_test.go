@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"dxbsp/internal/core"
@@ -8,7 +9,8 @@ import (
 )
 
 // FuzzSimVsReference is the differential property test behind the engine
-// rewrite: the event-driven engine and the independent time-stepped
+// rewrite: the event-driven engine, Run (which routes open-loop eligible
+// configs to the lockstep walk) and the independent time-stepped
 // RunReference oracle must agree exactly — cycle for cycle — on every
 // configuration in the oracle's supported subset (open loop, no
 // combining, no sections, integral delays), over randomized machine
@@ -86,27 +88,34 @@ func FuzzSimVsReference(f *testing.F) {
 		pt := core.NewPattern(addrs, p)
 		cfg := Config{Machine: m, NetDelay: nd, Bank: bank}
 
-		ev, err := Run(cfg, pt)
-		if err != nil {
-			t.Fatalf("engine: %v", err)
-		}
 		ref, err := RunReference(cfg, pt)
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		if ev.Cycles != ref.Cycles {
-			t.Errorf("p=%d banks=%d d=%g g=%g nd=%g n=%d shape=%d disc=%s: engine %v cycles, reference %v",
-				p, banks, d, g, nd, n, shape%3, bank.Discipline, ev.Cycles, ref.Cycles)
+		check := func(name string, ev Result, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ev.Cycles != ref.Cycles {
+				t.Errorf("%s: p=%d banks=%d d=%g g=%g nd=%g n=%d shape=%d disc=%s: %v cycles, reference %v",
+					name, p, banks, d, g, nd, n, shape%3, bank.Discipline, ev.Cycles, ref.Cycles)
+			}
+			if ev.BankServices != ref.BankServices || ev.BankBusy != ref.BankBusy || ev.Requests != ref.Requests {
+				t.Errorf("%s: p=%d banks=%d d=%g g=%g nd=%g n=%d shape=%d disc=%s: accounting mismatch: %+v vs reference %+v",
+					name, p, banks, d, g, nd, n, shape%3, bank.Discipline, ev, ref)
+			}
+			if ev.RowHits != ref.RowHits || ev.RowConflicts != ref.RowConflicts ||
+				ev.ThrottleStalls != ref.ThrottleStalls || ev.ThrottleStallCycles != ref.ThrottleStallCycles ||
+				ev.WarpReplays != ref.WarpReplays {
+				t.Errorf("%s: p=%d banks=%d d=%g g=%g nd=%g n=%d shape=%d disc=%s: discipline counters mismatch: %+v vs reference %+v",
+					name, p, banks, d, g, nd, n, shape%3, bank.Discipline, ev, ref)
+			}
 		}
-		if ev.BankServices != ref.BankServices || ev.BankBusy != ref.BankBusy || ev.Requests != ref.Requests {
-			t.Errorf("p=%d banks=%d d=%g g=%g nd=%g n=%d shape=%d disc=%s: accounting mismatch: engine %+v vs reference %+v",
-				p, banks, d, g, nd, n, shape%3, bank.Discipline, ev, ref)
-		}
-		if ev.RowHits != ref.RowHits || ev.RowConflicts != ref.RowConflicts ||
-			ev.ThrottleStalls != ref.ThrottleStalls || ev.ThrottleStallCycles != ref.ThrottleStallCycles ||
-			ev.WarpReplays != ref.WarpReplays {
-			t.Errorf("p=%d banks=%d d=%g g=%g nd=%g n=%d shape=%d disc=%s: discipline counters mismatch: engine %+v vs reference %+v",
-				p, banks, d, g, nd, n, shape%3, bank.Discipline, ev, ref)
-		}
+		// Run picks the lockstep walk or the event engine per config;
+		// NewEngine().Run is always the event engine. Both must match.
+		routed, err := Run(cfg, pt)
+		check("Run", routed, err)
+		events, err := NewEngine().Run(context.Background(), cfg, pt)
+		check("event engine", events, err)
 	})
 }

@@ -357,19 +357,21 @@ func Run(cfg Config, pt core.Pattern) (Result, error) {
 	return RunContext(context.Background(), cfg, pt)
 }
 
-// enginePool recycles engines across RunContext calls so back-to-back
-// runs — a sweep's workers all funnel through here — reuse the retained
-// wheel buckets, rings and bookkeeping slices instead of rebuilding them
-// per run. Engines are parked released (no borrowed references; see
-// engine.release), so the pool never pins a caller's pattern or probe.
+// enginePool recycles event engines across RunContext calls so
+// back-to-back runs — a sweep's workers all funnel through here — reuse
+// the retained wheel buckets, rings and bookkeeping slices instead of
+// rebuilding them per run. Engines are parked released (no borrowed
+// references; see engine.release), so the pool never pins a caller's
+// pattern or probe.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
-// AcquireEngine borrows an Engine from the package pool that Run and
-// RunContext draw from — warm in the steady state, so the borrow costs no
-// allocation. Callers that issue many runs from one goroutine (a worker
-// loop, a benchmark) can hold the engine across all of them instead of
-// paying a pool round-trip per run. Every AcquireEngine must be paired
-// with ReleaseEngine; an engine is single-run at a time (see Engine).
+// AcquireEngine borrows an event Engine from the package pool that
+// RunContext's event-engine path draws from — warm in the steady state,
+// so the borrow costs no allocation. Callers that issue many runs from
+// one goroutine (a worker loop, a benchmark) can hold the engine across
+// all of them instead of paying a pool round-trip per run. Every
+// AcquireEngine must be paired with ReleaseEngine; an engine is
+// single-run at a time (see Engine).
 func AcquireEngine() *Engine {
 	return enginePool.Get().(*Engine)
 }
@@ -385,21 +387,40 @@ func ReleaseEngine(e *Engine) {
 }
 
 // RunContext is Run with cooperative cancellation: the event loop polls
-// ctx every cancelCheckEvents events, so timeouts, retries and chaos
-// cancellation interrupt a simulation mid-flight instead of waiting for
-// it to finish. Polling reads no simulation state, so an uncancelled
-// RunContext produces cycle counts byte-identical to Run.
+// ctx every cancelCheckEvents events, the lockstep walk before its first
+// round and then every batchPollRequests requests, so timeouts, retries
+// and chaos cancellation interrupt a simulation mid-flight instead of
+// waiting for it to finish. Polling reads no simulation state, so an
+// uncancelled RunContext produces cycle counts byte-identical to Run.
 //
-// Runs execute on pooled engines (AcquireEngine/ReleaseEngine):
-// Engine.Reset re-arms every piece of retained state over its full new
-// extent, so reuse is invisible — results are byte-identical to a fresh
-// engine's — and the steady-state allocation cost of a run is ~0
-// (TestProbesOffAllocBudget pins it).
+// RunContext picks the path from cfg alone. An open-loop config the
+// lockstep walk can serve (Window == 0 && BatchEligible(cfg)) runs as a
+// one-lane batch on a pooled BatchEngine; every other config — probes,
+// sections, combining, row caches, GPUShared, grouped or multi-row DRAM,
+// and every windowed config — runs on a pooled event Engine. Windowed
+// configs stay on the event engine because a one-lane batch would detach
+// them into the per-lane replay, whose per-event scan is linear in the
+// processor count (DESIGN.md §16). Both paths return results byte-identical to
+// Engine.Run, with the same configuration errors, and both re-arm
+// retained state in place, so the steady-state allocation cost of a run
+// is ~0 (TestProbesOffAllocBudget pins it).
 func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
+	if lockstepSolo(cfg) {
+		b := AcquireBatchEngine()
+		res, err := b.runSolo(ctx, cfg, pt)
+		ReleaseBatchEngine(b)
+		return res, err
+	}
 	e := AcquireEngine()
 	res, err := e.Run(ctx, cfg, pt)
 	ReleaseEngine(e)
 	return res, err
+}
+
+// lockstepSolo reports whether RunContext serves cfg on the one-lane
+// lockstep walk rather than the event engine.
+func lockstepSolo(cfg Config) bool {
+	return cfg.Window == 0 && BatchEligible(cfg)
 }
 
 // simulate drains the event queue and assembles the result.

@@ -16,9 +16,9 @@ func RunSupersteps(cfg Config, steps []core.Pattern) ([]Result, float64, error) 
 }
 
 // RunSuperstepsContext is RunSupersteps with cooperative cancellation,
-// both between supersteps and — via RunContext's event-loop polling —
-// within one, so a multi-superstep experiment honors per-point deadlines
-// the same way a single-step one does. An uncancelled run returns results
+// both between supersteps and — via RunContext's polling — within one,
+// so a multi-superstep experiment honors per-point deadlines the same
+// way a single-step one does. An uncancelled run returns results
 // byte-identical to RunSupersteps.
 func RunSuperstepsContext(ctx context.Context, cfg Config, steps []core.Pattern) ([]Result, float64, error) {
 	results := make([]Result, 0, len(steps))
