@@ -313,8 +313,9 @@ func BenchmarkSimScatter64KGPU(b *testing.B) {
 }
 
 // BenchmarkProfile64K times the full compact profile (load pass plus the
-// sort-based location pass); BenchmarkLoads64K times the load pass alone
-// on the same pattern, which is all the cost law needs.
+// location pass, on its sort side: the 2^30 span is sparse);
+// BenchmarkLoads64K times the load pass alone on the same pattern, which
+// is all the cost law needs.
 func BenchmarkProfile64K(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(3)), m.Procs)
@@ -334,6 +335,26 @@ func BenchmarkLoads64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.ComputeLoads(pt, bm)
+	}
+}
+
+// BenchmarkVectorGather64K times one warm Analytic gather of 64K dense
+// indices on the J90: the irregular superstep the algorithm studies
+// charge, profiled on the location pass's dense side. It allocates
+// nothing.
+func BenchmarkVectorGather64K(b *testing.B) {
+	const n = 1 << 16
+	vm := vector.New(core.J90())
+	src, dst, idx := vm.Alloc(n), vm.Alloc(n), vm.Alloc(n)
+	g := rng.New(3)
+	for i := range idx.Data {
+		idx.Data[i] = int64(g.Intn(n))
+	}
+	vm.Gather(dst, src, idx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vm.Gather(dst, src, idx)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // BankMap maps memory addresses (word indices) to memory banks. The
@@ -138,8 +139,9 @@ type Loads struct {
 // Profile summarizes the contention structure of a Pattern under a given
 // bank mapping: the Loads the cost law consumes, plus the location
 // statistics (QRQW contention, distinct locations) the experiments use
-// as diagnostics. The location statistics need a sort of the addresses,
-// so callers that read only h and k should use ComputeLoads instead.
+// as diagnostics. The location statistics need equal addresses grouped
+// (Profiler.Locations), so callers that read only h and k should use
+// ComputeLoads instead.
 type Profile struct {
 	Loads
 
@@ -163,12 +165,13 @@ type Profile struct {
 // sortAddrs sorts addresses ascending. Large inputs use an LSD radix
 // sort — profiling is O(n) end to end, and address streams usually span
 // far fewer than 64 significant bits, so constant high bytes make most
-// of the 8 passes free.
-func sortAddrs(xs []uint64) {
+// of the 8 passes free. buf is the radix sort's second buffer; it is
+// grown to len(xs) if short and returned for the next call.
+func sortAddrs(xs, buf []uint64) []uint64 {
 	const radixCutover = 256
 	if len(xs) < radixCutover {
 		slices.Sort(xs)
-		return
+		return buf
 	}
 	var counts [8][256]int
 	for _, x := range xs {
@@ -177,7 +180,8 @@ func sortAddrs(xs []uint64) {
 		}
 	}
 	n := len(xs)
-	src, dst := xs, make([]uint64, n)
+	buf = grow(buf, n)
+	src, dst := xs, buf
 	for b := uint(0); b < 8; b++ {
 		c := &counts[b]
 		// A byte position where every address shares one value sorts to
@@ -201,6 +205,7 @@ func sortAddrs(xs []uint64) {
 	if &src[0] != &xs[0] {
 		copy(xs, src)
 	}
+	return buf
 }
 
 // ComputeLoads returns the bank loads of pattern pt under bank map bm:
@@ -208,94 +213,69 @@ func sortAddrs(xs []uint64) {
 // cost law needs, and what every caller that reads only h and k should
 // use.
 func ComputeLoads(pt Pattern, bm BankMap) Loads {
-	l, _ := bankLoads(pt, bm)
-	return l
+	return bankLoads(pt, bm, make([]int, bm.NumBanks()))
 }
 
 // bankLoads is the load pass: one walk over the pattern that counts
-// requests per processor and per bank. It returns the Loads and the
-// per-bank histogram it filled.
-func bankLoads(pt Pattern, bm BankMap) (Loads, []int) {
-	l := Loads{Procs: pt.Procs(), Banks: bm.NumBanks()}
-	hist := make([]int, l.Banks)
+// requests per processor and, into the zeroed histogram hist, per bank.
+func bankLoads(pt Pattern, bm BankMap, hist []int) Loads {
+	l := Loads{Procs: pt.Procs(), Banks: len(hist)}
 	for _, per := range pt.PerProc {
 		l.N += len(per)
-		if len(per) > l.MaxH {
-			l.MaxH = len(per)
-		}
-		for _, a := range per {
-			hist[bm.Bank(a)]++
-		}
+		l.MaxH = max(l.MaxH, len(per))
+		countBanks(hist, per, bm)
 	}
-	for _, k := range hist {
-		if k > l.MaxK {
-			l.MaxK = k
-		}
+	l.MaxK = maxOf(hist)
+	return l
+}
+
+// countBanks adds one to hist[bm.Bank(a)] for every address a: the one
+// histogram loop of the package.
+func countBanks(hist []int, addrs []uint64, bm BankMap) {
+	for _, a := range addrs {
+		hist[bm.Bank(a)]++
 	}
-	return l, hist
+}
+
+func maxOf(xs []int) int {
+	m := 0
+	for _, x := range xs {
+		m = max(m, x)
+	}
+	return m
 }
 
 // ComputeProfile profiles pattern pt under bank map bm: the load pass of
 // ComputeLoads plus the location pass (MaxLoc, DistinctLocs,
 // MaxKDistinct), retaining the per-bank histogram.
 func ComputeProfile(pt Pattern, bm BankMap) Profile {
-	return computeProfile(pt, bm, true)
+	pr := profilers.Get().(*Profiler)
+	defer profilers.Put(pr)
+	prof := pr.profile(pt, bm)
+	prof.BankLoads, pr.hist = pr.hist, nil // the caller keeps the histogram
+	return prof
 }
 
 // ComputeProfileCompact is ComputeProfile without retaining the per-bank
-// histogram. It still copies and sorts the addresses for the location
-// pass; hot loops that need only h and k should use ComputeLoads.
+// histogram. Loops that need only h and k should use ComputeLoads.
 func ComputeProfileCompact(pt Pattern, bm BankMap) Profile {
-	return computeProfile(pt, bm, false)
+	pr := profilers.Get().(*Profiler)
+	defer profilers.Put(pr)
+	return pr.profile(pt, bm)
 }
 
-func computeProfile(pt Pattern, bm BankMap, keep bool) Profile {
-	loads, bankLoad := bankLoads(pt, bm)
-	prof := Profile{Loads: loads}
-	addrs := slices.Concat(pt.PerProc...)
-	// Location contention (MaxLoc, DistinctLocs) and distinct locations
-	// per bank come from one sort-and-scan over a flat copy of the
-	// addresses: equal addresses form runs, each run is one distinct
-	// location. A map[uint64]int would compute the same quantities, but
-	// costs hundreds of bucket allocations and more wall clock at the
-	// 64K-request scale the experiments sweep (the vector machine
-	// profiles every irregular superstep).
-	sortAddrs(addrs)
-	distinct := make([]int, prof.Banks)
-	for i := 0; i < len(addrs); {
-		j := i + 1
-		for j < len(addrs) && addrs[j] == addrs[i] {
-			j++
-		}
-		prof.DistinctLocs++
-		if run := j - i; run > prof.MaxLoc {
-			prof.MaxLoc = run
-		}
-		distinct[bm.Bank(addrs[i])]++
-		i = j
-	}
-	for _, k := range distinct {
-		if k > prof.MaxKDistinct {
-			prof.MaxKDistinct = k
-		}
-	}
-	if keep {
-		prof.BankLoads = bankLoad
-	}
-	return prof
-}
+// profilers recycles the Profilers of ComputeProfile and
+// ComputeProfileCompact, so repeated calls reuse the location pass's
+// buffers instead of allocating three n-sized arrays each.
+var profilers = sync.Pool{New: func() any { return new(Profiler) }}
 
 // LocationSpectrum returns the contention spectrum of a pattern: for each
 // occurring contention level c, the number of distinct locations accessed
 // exactly c times. The spectrum is what distinguishes "one hot spot"
 // patterns from "everything lukewarm" patterns that share the same MaxLoc.
 func LocationSpectrum(pt Pattern) map[int]int {
-	counts := make(map[uint64]int)
-	for _, addrs := range pt.PerProc {
-		for _, a := range addrs {
-			counts[a]++
-		}
-	}
+	var pr Profiler
+	_, counts := pr.Locations(pt.PerProc...)
 	spectrum := make(map[int]int)
 	for _, c := range counts {
 		spectrum[c]++

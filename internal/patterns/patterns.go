@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"dxbsp/internal/core"
 	"dxbsp/internal/rng"
 )
 
@@ -139,15 +140,14 @@ func Zipf(n int, m int, s float64, g *rng.Xoshiro256) []uint64 {
 }
 
 // MeasureEntropy returns the empirical Shannon entropy, in bits, of the
-// address distribution.
+// address distribution. The terms are summed in ascending address order,
+// so the result is the same float64 on every call.
 func MeasureEntropy(addrs []uint64) float64 {
 	if len(addrs) == 0 {
 		return 0
 	}
-	counts := make(map[uint64]int, len(addrs))
-	for _, a := range addrs {
-		counts[a]++
-	}
+	var pr core.Profiler
+	_, counts := pr.Locations(addrs)
 	n := float64(len(addrs))
 	h := 0.0
 	for _, c := range counts {
@@ -160,13 +160,11 @@ func MeasureEntropy(addrs []uint64) float64 {
 // MaxContention returns the maximum number of occurrences of any single
 // address (the QRQW contention κ of the pattern).
 func MaxContention(addrs []uint64) int {
-	counts := make(map[uint64]int, len(addrs))
+	var pr core.Profiler
+	_, counts := pr.Locations(addrs)
 	maxC := 0
-	for _, a := range addrs {
-		counts[a]++
-		if counts[a] > maxC {
-			maxC = counts[a]
-		}
+	for _, c := range counts {
+		maxC = max(maxC, c)
 	}
 	return maxC
 }

@@ -230,3 +230,56 @@ func TestWorstCaseBank(t *testing.T) {
 		t.Error("worst-case pattern should have distinct locations")
 	}
 }
+
+// MeasureEntropy is bit-reproducible: it sums in address order, so
+// repeated calls on one skewed stream return the same float64. (Summed in
+// map iteration order, 50 calls on this stream gave 24 distinct values.)
+func TestMeasureEntropyBitIdentical(t *testing.T) {
+	a := Entropy(1<<16, 1<<16, 1, rng.New(1))
+	want := math.Float64bits(MeasureEntropy(a))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(MeasureEntropy(a)); got != want {
+			t.Fatalf("call %d: entropy bits %#x, first call %#x", i, got, want)
+		}
+	}
+	// The value itself matches the definition to rounding.
+	counts := map[uint64]int{}
+	for _, x := range a {
+		counts[x]++
+	}
+	h := 0.0
+	for _, c := range counts {
+		p := float64(c) / float64(len(a))
+		h -= p * math.Log2(p)
+	}
+	if got := MeasureEntropy(a); math.Abs(got-h) > 1e-9 {
+		t.Errorf("entropy = %v, map oracle %v", got, h)
+	}
+}
+
+// MaxContention agrees with a map count on dense, sparse, skewed and
+// tiny streams.
+func TestMaxContentionMatchesMap(t *testing.T) {
+	g := rng.New(5)
+	streams := map[string][]uint64{
+		"empty":   nil,
+		"single":  {1 << 63},
+		"same":    AllSame(300, 9),
+		"dense":   Uniform(1000, 500, g),
+		"sparse":  Uniform(1000, 1<<40, g),
+		"entropy": Entropy(4096, 4096, 3, g),
+		"zipf":    Zipf(2000, 2000, 1.2, g),
+		"extreme": {0, math.MaxUint64, 0, 7},
+	}
+	for name, a := range streams {
+		counts := map[uint64]int{}
+		want := 0
+		for _, x := range a {
+			counts[x]++
+			want = max(want, counts[x])
+		}
+		if got := MaxContention(a); got != want {
+			t.Errorf("%s: MaxContention = %d, map oracle %d", name, got, want)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package qrqw
 
-import "fmt"
+import (
+	"fmt"
+
+	"dxbsp/internal/core"
+)
 
 // This file bridges captured algorithm traces into QRQW programs: each
 // bulk memory operation recorded from a vector-machine run becomes one
@@ -30,20 +34,20 @@ func ProgramFromTraces(steps [][]uint64, v int) Program {
 // StepContentions returns κ for every step — the contention profile of
 // the program, the quantity the paper's algorithm studies report.
 func (p Program) StepContentions() []int {
+	var pr core.Profiler
 	out := make([]int, len(p.Steps))
 	for i, s := range p.Steps {
-		out[i] = s.Contention()
+		out[i] = s.contention(&pr)
 	}
 	return out
 }
 
 // MaxContention returns the largest per-step contention in the program.
 func (p Program) MaxContention() int {
+	var pr core.Profiler
 	m := 0
 	for _, s := range p.Steps {
-		if c := s.Contention(); c > m {
-			m = c
-		}
+		m = max(m, s.contention(&pr))
 	}
 	return m
 }

@@ -20,8 +20,9 @@ import (
 // IsEREW reports whether every step of the program has contention at most
 // 1 — i.e. the program is a legal EREW PRAM program.
 func (p Program) IsEREW() bool {
+	var pr core.Profiler
 	for _, s := range p.Steps {
-		if s.Contention() > 1 {
+		if s.contention(&pr) > 1 {
 			return false
 		}
 	}
@@ -76,8 +77,9 @@ func MinSlacknessEREW(m core.Machine, alpha float64) float64 {
 // supposedly exclusive-access program a detected bug rather than a silent
 // cost.
 func EmulateEREW(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, error) {
+	var pr core.Profiler
 	for i, s := range prog.Steps {
-		if c := s.Contention(); c > 1 {
+		if c := s.contention(&pr); c > 1 {
 			return Result{}, fmt.Errorf("qrqw: EmulateEREW: step %d has contention %d (not EREW)", i, c)
 		}
 	}

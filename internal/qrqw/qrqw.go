@@ -53,26 +53,28 @@ func (s Step) MaxOps() int {
 // Contention returns κ, the maximum number of accesses to any single
 // location in the step.
 func (s Step) Contention() int {
-	counts := make(map[uint64]int)
+	var pr core.Profiler
+	return s.contention(&pr)
+}
+
+// contention is Contention on pr's buffers, for loops over many steps.
+func (s Step) contention(pr *core.Profiler) int {
+	_, counts := pr.Locations(s.Accesses...)
 	maxC := 0
-	for _, a := range s.Accesses {
-		for _, addr := range a {
-			counts[addr]++
-			if counts[addr] > maxC {
-				maxC = counts[addr]
-			}
-		}
+	for _, c := range counts {
+		maxC = max(maxC, c)
 	}
 	return maxC
 }
 
 // Cost returns the QRQW time of the step: max(MaxOps, Contention).
 func (s Step) Cost() int {
-	ops, k := s.MaxOps(), s.Contention()
-	if k > ops {
-		return k
-	}
-	return ops
+	var pr core.Profiler
+	return s.cost(&pr)
+}
+
+func (s Step) cost(pr *core.Profiler) int {
+	return max(s.MaxOps(), s.contention(pr))
 }
 
 // Requests returns the total number of memory requests in the step.
@@ -92,9 +94,10 @@ type Program struct {
 
 // Time returns the QRQW PRAM time of the program: the sum of step costs.
 func (p Program) Time() int {
+	var pr core.Profiler
 	t := 0
 	for _, s := range p.Steps {
-		t += s.Cost()
+		t += s.cost(&pr)
 	}
 	return t
 }

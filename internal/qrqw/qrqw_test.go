@@ -283,3 +283,47 @@ func TestStepTimeBoundHolds(t *testing.T) {
 		}
 	}
 }
+
+// Step.Contention agrees with a map count over the step's accesses, and
+// the program-level loops (which share one Profiler across steps) agree
+// with it step by step.
+func TestContentionMatchesMap(t *testing.T) {
+	g := rng.New(11)
+	prog := Program{V: 64}
+	for s := 0; s < 40; s++ {
+		st := Step{Accesses: make([][]uint64, prog.V)}
+		span := uint64(1) << (2 * (s % 20)) // dense and sparse spans
+		for vp := range st.Accesses {
+			for k := g.Intn(4); k > 0; k-- {
+				st.Accesses[vp] = append(st.Accesses[vp], (1<<50)+g.Uint64n(span))
+			}
+		}
+		prog.Steps = append(prog.Steps, st)
+	}
+	prog.Steps = append(prog.Steps, Step{Accesses: make([][]uint64, prog.V)}) // empty step
+	want := make([]int, len(prog.Steps))
+	time, maxC := 0, 0
+	for i, st := range prog.Steps {
+		counts := map[uint64]int{}
+		for _, acc := range st.Accesses {
+			for _, a := range acc {
+				counts[a]++
+				want[i] = max(want[i], counts[a])
+			}
+		}
+		if got := st.Contention(); got != want[i] {
+			t.Errorf("step %d: Contention = %d, map oracle %d", i, got, want[i])
+		}
+		time += max(st.MaxOps(), want[i])
+		maxC = max(maxC, want[i])
+	}
+	got := prog.StepContentions()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("StepContentions[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	if prog.Time() != time || prog.MaxContention() != maxC {
+		t.Errorf("Time, MaxContention = %d, %d; want %d, %d", prog.Time(), prog.MaxContention(), time, maxC)
+	}
+}

@@ -15,7 +15,7 @@ import "fmt"
 func (vm *Machine) Broadcast(dst, src *Vec, at int64) {
 	vm.checkIndex("Broadcast", at, src)
 	n := dst.Len()
-	addrs := make([]uint64, n)
+	addrs := vm.addrBuf(n)
 	for i := range addrs {
 		addrs[i] = src.Base + uint64(at)
 		dst.Data[i] = src.Data[at]
@@ -41,7 +41,7 @@ func (vm *Machine) ReplicatedBroadcast(dst, src *Vec, at int64, scratch *Vec) {
 		if made+cnt > p {
 			cnt = p - made
 		}
-		addrs := make([]uint64, cnt)
+		addrs := vm.addrBuf(cnt)
 		for i := 0; i < cnt; i++ {
 			scratch.Data[made+i] = scratch.Data[i]
 			addrs[i] = scratch.Base + uint64(i)
@@ -52,7 +52,7 @@ func (vm *Machine) ReplicatedBroadcast(dst, src *Vec, at int64, scratch *Vec) {
 	// Final fan-out: processor i reads replica i (round-robin assignment
 	// matches the charging layout).
 	n := dst.Len()
-	addrs := make([]uint64, n)
+	addrs := vm.addrBuf(n)
 	for i := range addrs {
 		addrs[i] = scratch.Base + uint64(i%p)
 		dst.Data[i] = scratch.Data[i%p]

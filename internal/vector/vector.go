@@ -62,6 +62,9 @@ type Machine struct {
 
 	trace   TraceFunc
 	capture CaptureFunc
+
+	prof  core.Profiler // location pass buffers, reused every superstep
+	addrs []uint64      // irregular address stream, reused every superstep
 }
 
 // TraceFunc observes every irregular superstep: the operation name, the
@@ -71,8 +74,9 @@ type TraceFunc func(op string, prof core.Profile, cycles float64)
 
 // CaptureFunc receives the raw address stream of every irregular
 // superstep, for replaying algorithm traces through other machinery (the
-// QRQW bridge, the dxtrace format). The slice is only valid during the
-// call; copy it to retain it.
+// QRQW bridge, the dxtrace format). The machine reuses the slice for the
+// next superstep, so it is only valid during the call; copy it to retain
+// it.
 type CaptureFunc func(op string, addrs []uint64)
 
 // Option configures a Machine.
@@ -176,20 +180,29 @@ func (vm *Machine) strideCost(n, k int) float64 {
 	return vm.mach.G * float64(k) * float64(n) / p
 }
 
+// addrBuf returns the machine's address buffer with length n, for an
+// irregular superstep to fill and hand to irregularCost.
+func (vm *Machine) addrBuf(n int) []uint64 {
+	if cap(vm.addrs) < n {
+		vm.addrs = make([]uint64, n)
+	}
+	return vm.addrs[:n]
+}
+
 // irregularCost charges the superstep cost of n irregular requests at the
-// given simulated addresses.
+// given simulated addresses, issued round-robin over the processors.
 func (vm *Machine) irregularCost(op string, addrs []uint64) float64 {
 	if vm.capture != nil {
 		vm.capture(op, addrs)
 	}
-	pt := core.NewPattern(addrs, vm.mach.Procs)
-	prof := core.ComputeProfileCompact(pt, vm.bm)
+	prof := vm.prof.RoundRobin(addrs, vm.mach.Procs, vm.bm)
 	if prof.MaxLoc > vm.maxLoc {
 		vm.maxLoc = prof.MaxLoc
 	}
 	var cycles float64
 	switch vm.mode {
 	case Simulate:
+		pt := core.NewPattern(addrs, vm.mach.Procs)
 		r, err := sim.Run(sim.Config{Machine: vm.mach, BankMap: vm.bm}, pt)
 		if err != nil {
 			panic(fmt.Sprintf("vector: simulation failed: %v", err))
@@ -268,7 +281,7 @@ func (vm *Machine) Map2(dst, a, b *Vec, f func(int64, int64) int64, ops float64)
 // are unit-stride.
 func (vm *Machine) Gather(dst, src, idx *Vec) {
 	vm.checkLen("Gather", dst, idx)
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("Gather", ix, src)
 		addrs[i] = src.Base + uint64(ix)
@@ -282,7 +295,7 @@ func (vm *Machine) Gather(dst, src, idx *Vec) {
 // vectorized scatter on the machines modeled (last write in vector order).
 func (vm *Machine) Scatter(dst, src, idx *Vec) {
 	vm.checkLen("Scatter", src, idx)
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("Scatter", ix, dst)
 		addrs[i] = dst.Base + uint64(ix)
@@ -293,7 +306,7 @@ func (vm *Machine) Scatter(dst, src, idx *Vec) {
 
 // ScatterConst scatters the constant val to dst at idx.
 func (vm *Machine) ScatterConst(dst *Vec, val int64, idx *Vec) {
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("ScatterConst", ix, dst)
 		addrs[i] = dst.Base + uint64(ix)
@@ -309,7 +322,7 @@ func (vm *Machine) ScatterConst(dst *Vec, val int64, idx *Vec) {
 // cheaper histogram build one explicitly, as the radix sort does.
 func (vm *Machine) ScatterAdd(dst, src, idx *Vec) {
 	vm.checkLen("ScatterAdd", src, idx)
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("ScatterAdd", ix, dst)
 		addrs[i] = dst.Base + uint64(ix)

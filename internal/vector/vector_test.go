@@ -255,3 +255,29 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 		New(core.J90(), WithBankMap(core.InterleaveMap{Banks: 3}))
 	})
 }
+
+// A warm Analytic superstep allocates nothing: the machine reuses its
+// address buffer and profiles the flat round-robin stream in place. Both
+// sides of the location pass are covered, a dense index stream and a
+// sparse one (a gather into a large array).
+func TestIrregularSuperstepZeroAllocs(t *testing.T) {
+	const n = 1 << 16
+	g := rng.New(6)
+	vm := newVM(t)
+	big := vm.Alloc(1 << 20)
+	src, dst := vm.Alloc(n), vm.Alloc(n)
+	dense, sparse := vm.Alloc(n), vm.Alloc(n)
+	for i := 0; i < n; i++ {
+		dense.Data[i] = int64(g.Intn(n))
+		sparse.Data[i] = int64(g.Intn(big.Len()))
+	}
+	step := func() {
+		vm.Gather(dst, src, dense)
+		vm.Scatter(dst, src, dense)
+		vm.Gather(dst, big, sparse)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+		t.Errorf("warm Gather/Scatter: %.1f allocs per run, want 0", allocs)
+	}
+}
