@@ -54,23 +54,48 @@ func (m Machine) Expansion() float64 {
 	return float64(m.Banks) / float64(m.Procs)
 }
 
-// Validate reports whether the machine description is usable.
+// MachineError reports an unusable machine description. It names the
+// offending Machine field so callers can tell a bad machine from a
+// runtime failure (use errors.As).
+type MachineError struct {
+	Machine string // Machine.Name
+	Field   string
+	Reason  string
+}
+
+func (e *MachineError) Error() string {
+	return fmt.Sprintf("core: machine %q: %s %s", e.Machine, e.Field, e.Reason)
+}
+
+// Validate reports whether the machine description is usable. Every
+// failure is a *MachineError.
 func (m Machine) Validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &MachineError{Machine: m.Name, Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"D", m.D}, {"G", m.G}, {"L", m.L}, {"SectionGap", m.SectionGap}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return bad(f.name, "must be finite, got %g", f.v)
+		}
+	}
 	switch {
 	case m.Procs <= 0:
-		return fmt.Errorf("core: machine %q: Procs must be positive, got %d", m.Name, m.Procs)
+		return bad("Procs", "must be positive, got %d", m.Procs)
 	case m.Banks <= 0:
-		return fmt.Errorf("core: machine %q: Banks must be positive, got %d", m.Name, m.Banks)
+		return bad("Banks", "must be positive, got %d", m.Banks)
 	case m.D <= 0:
-		return fmt.Errorf("core: machine %q: D must be positive, got %g", m.Name, m.D)
+		return bad("D", "must be positive, got %g", m.D)
 	case m.G <= 0:
-		return fmt.Errorf("core: machine %q: G must be positive, got %g", m.Name, m.G)
+		return bad("G", "must be positive, got %g", m.G)
 	case m.L < 0:
-		return fmt.Errorf("core: machine %q: L must be non-negative, got %g", m.Name, m.L)
+		return bad("L", "must be non-negative, got %g", m.L)
 	case m.Sections > 1 && m.SectionGap <= 0:
-		return fmt.Errorf("core: machine %q: SectionGap must be positive when Sections > 1", m.Name)
+		return bad("SectionGap", "must be positive when Sections > 1, got %g", m.SectionGap)
 	case m.Sections > m.Banks:
-		return fmt.Errorf("core: machine %q: more sections (%d) than banks (%d)", m.Name, m.Sections, m.Banks)
+		return bad("Sections", "must not exceed Banks (%d), got %d", m.Banks, m.Sections)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -39,6 +40,31 @@ func TestValidate(t *testing.T) {
 		tc.mut(&m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: expected error, got nil", tc.name)
+		}
+	}
+}
+
+// Non-finite delays used to slip past the sign checks (NaN compares
+// false with everything, +Inf is positive); each must be rejected with a
+// *MachineError naming the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	good := Machine{Name: "m", Procs: 4, Banks: 16, D: 2, G: 1, L: 0, Sections: 2, SectionGap: 1}
+	for _, tc := range []struct {
+		field string
+		mut   func(*Machine, float64)
+	}{
+		{"D", func(m *Machine, v float64) { m.D = v }},
+		{"G", func(m *Machine, v float64) { m.G = v }},
+		{"L", func(m *Machine, v float64) { m.L = v }},
+		{"SectionGap", func(m *Machine, v float64) { m.SectionGap = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			m := good
+			tc.mut(&m, v)
+			var me *MachineError
+			if err := m.Validate(); !errors.As(err, &me) || me.Field != tc.field {
+				t.Errorf("%s = %g: got %v, want a *MachineError on %s", tc.field, v, err, tc.field)
+			}
 		}
 	}
 }

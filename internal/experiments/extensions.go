@@ -94,7 +94,7 @@ func expX2() Experiment {
 					if err != nil {
 						return nil, err
 					}
-					cached, err := cfg.RunSim(ctx, sim.Config{Machine: m, BankCacheLines: 4}, pt)
+					cached, err := cfg.RunSim(ctx, sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 4}}, pt)
 					if err != nil {
 						return nil, err
 					}

@@ -194,8 +194,8 @@ func cacheKey(cfg sim.Config, pt core.Pattern) (string, bool) {
 // Returns ok=false when the bank map cannot be fingerprinted.
 //
 // The FIFO row-buffer knobs are emitted in the historical bcl/bhd/brs
-// encoding, derived from the normalized Bank sub-config (brs is log2 of
-// the row size, exactly what the deprecated BankRowShift field held), and
+// encoding, derived from the normalized Bank sub-config (bcl the row
+// lines, bhd the hit delay, brs log2 of the row size in words), and
 // non-FIFO disciplines append their sub-config after it — so every key
 // minted before the discipline API exists unchanged, and the checkpoint
 // journals and memo entries keyed under it stay valid.

@@ -28,9 +28,9 @@ func TestConfigPrefixCompat(t *testing.T) {
 			"m=J90{p=8 b=512 x=64.0 d=14 g=1 L=0}|bm=interleave:512|w=8|comb=false|nd=0|sect=false|bcl=0|bhd=0|brs=0|pt=fec0f7d148bcf389:8"},
 		{"combining", sim.Config{Machine: m, Combining: true},
 			"m=J90{p=8 b=512 x=64.0 d=14 g=1 L=0}|bm=interleave:512|w=0|comb=true|nd=0|sect=false|bcl=0|bhd=0|brs=0|pt=fec0f7d148bcf389:8"},
-		{"cached default", sim.Config{Machine: m, BankCacheLines: 4},
+		{"cached default", sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 4}},
 			"m=J90{p=8 b=512 x=64.0 d=14 g=1 L=0}|bm=interleave:512|w=0|comb=false|nd=0|sect=false|bcl=4|bhd=1|brs=5|pt=fec0f7d148bcf389:8"},
-		{"cached explicit", sim.Config{Machine: m, BankCacheLines: 2, BankHitDelay: 2, BankRowShift: 8},
+		{"cached explicit", sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 2, HitDelay: 2, RowWords: 1 << 8}},
 			"m=J90{p=8 b=512 x=64.0 d=14 g=1 L=0}|bm=interleave:512|w=0|comb=false|nd=0|sect=false|bcl=2|bhd=2|brs=8|pt=fec0f7d148bcf389:8"},
 		{"sections", sim.Config{Machine: m, UseSections: true, NetDelay: 3},
 			"m=J90{p=8 b=512 x=64.0 d=14 g=1 L=0}|bm=interleave:512|w=0|comb=false|nd=3|sect=true|bcl=0|bhd=0|brs=0|pt=fec0f7d148bcf389:8"},
@@ -42,35 +42,6 @@ func TestConfigPrefixCompat(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%s: key drifted from the pre-refactor capture\n got: %s\nwant: %s", tc.name, got, tc.want)
-		}
-	}
-}
-
-// The deprecated HS93 fields and the Bank sub-config they fold into must
-// produce identical keys, so configs migrated field-by-field keep hitting
-// their journaled results.
-func TestConfigPrefixLegacyFieldEquivalence(t *testing.T) {
-	m := core.J90()
-	pt := core.NewPattern([]uint64{1, 2, 3, 4, 5, 6, 7, 8}, 4)
-	for _, tc := range []struct {
-		name   string
-		legacy sim.Config
-		bank   sim.Config
-	}{
-		{"defaults",
-			sim.Config{Machine: m, BankCacheLines: 4},
-			sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 4}}},
-		{"explicit",
-			sim.Config{Machine: m, BankCacheLines: 2, BankHitDelay: 2, BankRowShift: 8},
-			sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 2, HitDelay: 2, RowWords: 1 << 8}}},
-	} {
-		lk, ok1 := SimKey(tc.legacy, pt)
-		bk, ok2 := SimKey(tc.bank, pt)
-		if !ok1 || !ok2 {
-			t.Fatalf("%s: not keyable", tc.name)
-		}
-		if lk != bk {
-			t.Errorf("%s: legacy and Bank sub-config keys differ\nlegacy: %s\n  bank: %s", tc.name, lk, bk)
 		}
 	}
 }

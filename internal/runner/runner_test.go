@@ -193,9 +193,9 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		{Machine: base.Machine, Combining: true},
 		{Machine: base.Machine, NetDelay: 9},
 		{Machine: base.Machine, UseSections: true},
-		{Machine: base.Machine, BankCacheLines: 2},
-		{Machine: base.Machine, BankCacheLines: 2, BankHitDelay: 3},
-		{Machine: base.Machine, BankCacheLines: 2, BankRowShift: 7},
+		{Machine: base.Machine, Bank: sim.BankConfig{CacheLines: 2}},
+		{Machine: base.Machine, Bank: sim.BankConfig{CacheLines: 2, HitDelay: 3}},
+		{Machine: base.Machine, Bank: sim.BankConfig{CacheLines: 2, RowWords: 1 << 7}},
 		{Machine: func() core.Machine { m := base.Machine; m.D = 9; return m }()},
 		{Machine: base.Machine, BankMap: hashfn.Map{F: hashfn.Identity{M: 5}}},
 	}

@@ -298,7 +298,7 @@ func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 		{"probe", Config{Machine: m, Probe: &countingProbe{}}, false},
 		{"sections", Config{Machine: m, UseSections: true}, false},
 		{"combining", Config{Machine: m, Combining: true}, false},
-		{"row cache", Config{Machine: m, BankCacheLines: 1}, false},
+		{"row cache", Config{Machine: m, Bank: BankConfig{CacheLines: 1}}, false},
 		{"gpu", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared}}, false},
 		{"dram groups", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 4}}, false},
 		{"dram multirow", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}, false},

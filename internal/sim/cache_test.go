@@ -11,7 +11,7 @@ import (
 
 func TestBankCacheHotSpotCollapses(t *testing.T) {
 	// All requests to one address: with a row buffer, only the first
-	// access pays d; the rest hit at BankHitDelay.
+	// access pays d; the rest hit at Bank.HitDelay.
 	m := testMachine() // d = 6
 	n := 512
 	pt := core.NewPattern(constAddrs(n, 9), m.Procs)
@@ -19,7 +19,7 @@ func TestBankCacheHotSpotCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := Run(Config{Machine: m, BankCacheLines: 4}, pt)
+	hot, err := Run(Config{Machine: m, Bank: BankConfig{CacheLines: 4}}, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBankCacheRowGranularity(t *testing.T) {
 		sameRow[i] = 0 // same word: same row, same bank
 	}
 	pt := core.NewPattern(sameRow, m.Procs)
-	r, err := Run(Config{Machine: m, BankCacheLines: 1}, pt)
+	r, err := Run(Config{Machine: m, Bank: BankConfig{CacheLines: 1}}, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBankCacheRowGranularity(t *testing.T) {
 		}
 	}
 	pt = core.NewPattern(alt, 1) // single proc: strictly alternating arrival
-	r, err = Run(Config{Machine: m, BankCacheLines: 1}, pt)
+	r, err = Run(Config{Machine: m, Bank: BankConfig{CacheLines: 1}}, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBankCacheRowGranularity(t *testing.T) {
 		t.Errorf("thrash hits = %d, want 0", r.RowHits)
 	}
 	// With two lines both rows fit: all but the first two hit.
-	r, err = Run(Config{Machine: m, BankCacheLines: 2}, pt)
+	r, err = Run(Config{Machine: m, Bank: BankConfig{CacheLines: 2}}, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBankCacheRandomPatternNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Run(Config{Machine: m, BankCacheLines: 4}, pt)
+	on, err := Run(Config{Machine: m, Bank: BankConfig{CacheLines: 4}}, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBankCacheDeterministic(t *testing.T) {
 		addrs[i] = g.Uint64n(1 << 12)
 	}
 	pt := core.NewPattern(addrs, m.Procs)
-	cfg := Config{Machine: m, BankCacheLines: 2, BankHitDelay: 2, BankRowShift: 4}
+	cfg := Config{Machine: m, Bank: BankConfig{CacheLines: 2, HitDelay: 2, RowWords: 1 << 4}}
 	a, err := Run(cfg, pt)
 	if err != nil {
 		t.Fatal(err)

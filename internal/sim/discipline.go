@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"dxbsp/internal/core"
@@ -191,8 +192,8 @@ func (c Config) validateBank() error {
 	if b.CacheLines < 0 {
 		return &ConfigError{Field: "Bank.CacheLines", Reason: fmt.Sprintf("must be >= 0, got %d", b.CacheLines)}
 	}
-	if b.HitDelay < 0 {
-		return &ConfigError{Field: "Bank.HitDelay", Reason: fmt.Sprintf("must be >= 0, got %g", b.HitDelay)}
+	if !finiteNonNeg(b.HitDelay) {
+		return &ConfigError{Field: "Bank.HitDelay", Reason: fmt.Sprintf("must be finite and >= 0, got %g", b.HitDelay)}
 	}
 	if b.RowWords < 0 || (b.RowWords > 0 && b.RowWords&(b.RowWords-1) != 0) {
 		return &ConfigError{Field: "Bank.RowWords", Reason: fmt.Sprintf("must be 0 (default) or a power of two, got %d", b.RowWords)}
@@ -216,12 +217,12 @@ func (c Config) validateBank() error {
 	switch b.Discipline {
 	case DRAM:
 		switch {
-		case b.MissDelay < 0:
-			return &ConfigError{Field: "Bank.MissDelay", Reason: fmt.Sprintf("must be >= 0, got %g", b.MissDelay)}
+		case !finiteNonNeg(b.MissDelay):
+			return &ConfigError{Field: "Bank.MissDelay", Reason: fmt.Sprintf("must be finite and >= 0, got %g", b.MissDelay)}
 		case b.Groups < 0 || b.Groups > c.Machine.Banks:
 			return &ConfigError{Field: "Bank.Groups", Reason: fmt.Sprintf("must be in [0, Banks=%d], got %d", c.Machine.Banks, b.Groups)}
-		case b.GroupGap < 0:
-			return &ConfigError{Field: "Bank.GroupGap", Reason: fmt.Sprintf("must be >= 0, got %g", b.GroupGap)}
+		case !finiteNonNeg(b.GroupGap):
+			return &ConfigError{Field: "Bank.GroupGap", Reason: fmt.Sprintf("must be finite and >= 0, got %g", b.GroupGap)}
 		case b.GroupGap > 0 && b.Groups == 0:
 			return &ConfigError{Field: "Bank.GroupGap", Reason: "requires Bank.Groups > 0"}
 		}
@@ -229,8 +230,8 @@ func (c Config) validateBank() error {
 		switch {
 		case b.CacheLines != 0:
 			return &ConfigError{Field: "Bank.CacheLines", Reason: "row buffers are not supported under the Regulated discipline"}
-		case b.RegWindow <= 0:
-			return &ConfigError{Field: "Bank.RegWindow", Reason: fmt.Sprintf("must be > 0, got %g", b.RegWindow)}
+		case !finiteNonNeg(b.RegWindow) || b.RegWindow == 0:
+			return &ConfigError{Field: "Bank.RegWindow", Reason: fmt.Sprintf("must be finite and > 0, got %g", b.RegWindow)}
 		case b.RegBudget <= 0:
 			return &ConfigError{Field: "Bank.RegBudget", Reason: fmt.Sprintf("must be > 0, got %d", b.RegBudget)}
 		}
@@ -249,6 +250,12 @@ func (c Config) validateBank() error {
 		}
 	}
 	return nil
+}
+
+// finiteNonNeg reports whether x is a usable delay: not NaN, not
+// infinite, not negative.
+func finiteNonNeg(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // rowShiftOf returns log2 of the (power-of-two, validated) row size, the

@@ -30,11 +30,9 @@ func TestDisciplineStringParseRoundTrip(t *testing.T) {
 	}
 }
 
-// The one-word-row regression (satellite bugfix): the deprecated
-// BankRowShift could not express a 1-word row — Normalize turned shift 0
-// into the default 5. Bank.RowWords encodes set/unset explicitly, so
-// RowWords: 1 survives Normalize and actually simulates one-word rows,
-// while the legacy zero still means "default 32 words".
+// Bank.RowWords encodes set/unset explicitly, so RowWords: 1 survives
+// Normalize and actually simulates one-word rows, while zero still means
+// "default 32 words".
 func TestOneWordRowRepresentable(t *testing.T) {
 	m := core.Machine{Name: "row", Procs: 1, Banks: 1, D: 4, G: 1, L: 0}
 	pt := core.NewPattern([]uint64{0, 1, 0, 1}, 1)
@@ -53,18 +51,18 @@ func TestOneWordRowRepresentable(t *testing.T) {
 		t.Errorf("one-word rows: %d row hits, want 0", r1.RowHits)
 	}
 
-	// The legacy encoding (BankRowShift 0 = default) keeps its historical
-	// meaning: 32-word rows, so 0 and 1 share a row and three accesses hit.
-	legacy := Config{Machine: m, BankCacheLines: 1}
-	if n := legacy.Normalize(); n.Bank.RowWords != 32 {
-		t.Fatalf("legacy fold produced RowWords %d, want 32", n.Bank.RowWords)
+	// RowWords 0 is the default, 32-word rows, so 0 and 1 share a row and
+	// three accesses hit.
+	def := Config{Machine: m, Bank: BankConfig{CacheLines: 1}}
+	if n := def.Normalize(); n.Bank.RowWords != 32 {
+		t.Fatalf("default rows normalized to RowWords %d, want 32", n.Bank.RowWords)
 	}
-	r32, err := Run(legacy, pt)
+	r32, err := Run(def, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r32.RowHits != 3 {
-		t.Errorf("legacy default rows: %d row hits, want 3", r32.RowHits)
+		t.Errorf("default rows: %d row hits, want 3", r32.RowHits)
 	}
 }
 

@@ -43,8 +43,10 @@
 // Dispatch is resolved once per run and the event loop switches on
 // a discipline tag, so adding disciplines costs the FIFO hot path nothing;
 // TestEngineReuseZeroAllocs and the SimScatter64K benchmark gate pin this.
-// RunReference implements every discipline independently as a per-clock
-// oracle, and differential fuzzing keeps the two in agreement.
+// RunReference implements the same machine independently as a per-clock
+// oracle — every discipline, windows, sections, combining, bank groups
+// and dyadic fractional delays — and differential tests and fuzzing hold
+// both engines to its full Result.
 //
 // # Entry points
 //
@@ -59,8 +61,6 @@
 //
 // Engine is the event engine itself, whatever the config. Callers that
 // manage their own reuse — a benchmark harness, a worker pool with
-// per-worker engines — or that need the event loop as an oracle can hold
-// one directly: NewEngine for an unpooled instance, or
-// AcquireEngine/ReleaseEngine to borrow from the package pool that
-// RunContext's event path uses.
+// per-worker engines — or that need the event loop whatever the config
+// can hold one from NewEngine.
 package sim

@@ -239,28 +239,14 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 		e.bankServe = make([]int, cfg.Machine.Banks)
 	}
 
-	if e.useHeap {
-		// Size the heap off the pattern and machine so steady state never
-		// grows it: the live event population is bounded by one pending
-		// injection per processor, one *Done per busy bank and section,
-		// plus the requests in network transit (which scale with
-		// NetDelay/G, not with N). Small runs cap the hint at one event
-		// per request.
-		hint := pt.Procs() + cfg.Machine.Banks + nSections
-		if n := pt.N() + pt.Procs(); n < hint {
-			hint = n
-		}
-		e.heapq.init(hint)
-	} else {
-		e.events.reset(cfg, cfg.Machine.Procs)
-	}
+	e.events.reset(cfg, cfg.Machine.Procs)
 
 	total := 0
 	for i, addrs := range pt.PerProc {
 		e.procs[i].addrs = addrs
 		total += len(addrs)
 		if len(addrs) > 0 {
-			e.sched(event{time: 0, seq: e.nextSeq(), kind: evInject, proc: int32(i)})
+			e.events.push(event{time: 0, seq: e.nextSeq(), kind: evInject, proc: int32(i)})
 		}
 	}
 	e.res.Requests = total

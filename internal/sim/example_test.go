@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"context"
 	"fmt"
 
 	"dxbsp/internal/core"
@@ -24,26 +23,6 @@ func ExampleRun() {
 	// Output:
 	// simulated 14336, predicted 14336 cycles
 	// one bank served 1024 requests
-}
-
-// Holding a pooled engine across runs amortizes the simulator's internal
-// allocations over a whole sweep; each Run is byte-identical to sim.Run.
-func ExampleAcquireEngine() {
-	e := sim.AcquireEngine()
-	defer sim.ReleaseEngine(e)
-	m := core.J90()
-	for _, k := range []int{1, 16, 1024} {
-		pt := core.NewPattern(patterns.Contention(1024, k, 1), m.Procs)
-		r, err := e.Run(context.Background(), sim.Config{Machine: m}, pt)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("k=%-4d %5.0f cycles\n", k, r.Cycles)
-	}
-	// Output:
-	// k=1      141 cycles
-	// k=16     231 cycles
-	// k=1024 14336 cycles
 }
 
 // The DRAM discipline models open-row hits against row conflicts: a
@@ -91,7 +70,7 @@ func ExampleConfig_bankCache() {
 	m := core.J90()
 	pt := core.NewPattern(patterns.AllSame(1024, 0), m.Procs)
 	plain, _ := sim.Run(sim.Config{Machine: m}, pt)
-	cached, _ := sim.Run(sim.Config{Machine: m, BankCacheLines: 4}, pt)
+	cached, _ := sim.Run(sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 4}}, pt)
 	fmt.Printf("row hits: %d, speedup ≈ %.0fx\n",
 		cached.RowHits, plain.Cycles/cached.Cycles)
 	// Output:

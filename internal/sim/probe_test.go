@@ -99,11 +99,11 @@ func sweepConfigs() []Config {
 									SectionGap: 0.5,
 								}
 								cfgs = append(cfgs, Config{
-									Machine:        m,
-									Window:         window,
-									Combining:      combining,
-									UseSections:    sections > 1,
-									BankCacheLines: cache,
+									Machine:     m,
+									Window:      window,
+									Combining:   combining,
+									UseSections: sections > 1,
+									Bank:        BankConfig{CacheLines: cache},
 								})
 							}
 						}
@@ -129,7 +129,7 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 		cfg := cfg
 		name := fmt.Sprintf("cfg%03d_p%d_b%d_d%g_s%d_w%d_c%t_bc%d", i,
 			cfg.Machine.Procs, cfg.Machine.Banks, cfg.Machine.D,
-			cfg.Machine.Sections, cfg.Window, cfg.Combining, cfg.BankCacheLines)
+			cfg.Machine.Sections, cfg.Window, cfg.Combining, cfg.Bank.CacheLines)
 		t.Run(name, func(t *testing.T) {
 			pt := core.NewPattern(patterns.Uniform(1<<10, 1<<30, rng.New(uint64(i+1))), cfg.Machine.Procs)
 

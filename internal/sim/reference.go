@@ -3,180 +3,212 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dxbsp/internal/core"
 )
 
-// RunReference is an independent, deliberately naive time-stepped
-// implementation of the same machine semantics as Run: it advances a
-// global clock one cycle at a time and moves requests between explicit
-// queues. It exists purely as a correctness oracle for the event-driven
-// engine — the two are written against the same informal spec but share
-// no code, so agreement is meaningful evidence. O(cycles * resources):
-// use small inputs.
+// RunReference is an independent, deliberately naive per-clock
+// implementation of the machine semantics Run implements. It exists purely
+// as a correctness oracle for the event engine and the lockstep walk: it
+// is written against the spec below and shares no code with wheel.go,
+// sim.go or batch.go, so agreement is meaningful evidence. It is
+// O(ticks * actions per tick²): use small inputs.
 //
-// Supported subset: open-loop issue (no Window), no combining, no
-// sections, and integral G, D, NetDelay and discipline delays. Every
-// discipline is covered — FIFO (cached or not), DRAM (without bank
-// groups, whose cross-bank coupling the differential wheel-vs-heap test
-// covers instead), Regulated, and GPUShared (which needs NetDelay >= 1
-// so a warp enabled by a same-cycle response is not re-issued a cycle
-// late relative to the engine's event ordering).
+// Time runs in integer ticks of 2⁻ᵏ cycles, the coarsest k ≤ 4 that makes
+// every delay in use integral, so every instant is exact. Each tick
+// applies the actions due at it one at a time, least (kind, seq) first,
+// including actions an earlier action of the same tick created. The kinds,
+// in order, and what each does:
+//
+//   - inject(p): processor p issues its next request (a fresh seq), which
+//     reaches its section (sections on) or its bank NetDelay later; a next
+//     inject(p) with the following seq is due G later while p has
+//     requests left. With Window > 0 and Window requests outstanding, p
+//     instead blocks until a completion. Under GPUShared p issues up to
+//     WarpSize requests at once and the next warp waits for all of them.
+//   - sectionArrive(r): an idle section starts forwarding r; a busy one
+//     queues it.
+//   - sectionDone(r): SectionGap after its start, r reaches its bank at
+//     once and the section starts its next queued request.
+//   - bankArrive(r): an idle bank starts serving r; a busy one queues it.
+//     Arrivals precede a same-tick bankDone, so they queue behind it.
+//   - bankDone: the bank starts its next queued request, or goes idle.
+//   - complete(r): r's response reaches its processor, NetDelay after its
+//     service ends; the run ends with the last one. It unblocks a blocked
+//     processor (or, under GPUShared, releases the next warp once the
+//     whole warp is back) no earlier than its next issue slot.
+//
+// A service start applies the bank discipline: FIFO serves in D (or
+// HitDelay on a row-buffer hit when CacheLines > 0); DRAM in HitDelay on
+// an open-row hit and MissDelay otherwise, starting no earlier than its
+// bank group's next GroupGap slot; Regulated defers a start past its
+// bank's budget to the next RegWindow boundary; GPUShared counts a queued
+// start as a warp replay. A deferred start holds the bank through the
+// wait. Under Combining the service also answers every request for the
+// same address queued behind it.
+//
+// The one configuration it rejects is a delay that is not a multiple of
+// 1/16 cycle.
 func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.Window != 0 || cfg.Combining || cfg.UseSections {
-		return Result{}, fmt.Errorf("sim: RunReference supports only the basic configuration")
-	}
-	m := cfg.Machine
-	if m.G != math.Trunc(m.G) || m.D != math.Trunc(m.D) {
-		return Result{}, fmt.Errorf("sim: RunReference needs integral G and D")
 	}
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.NetDelay != math.Trunc(cfg.NetDelay) {
-		return Result{}, fmt.Errorf("sim: RunReference needs integral NetDelay")
+	if pt.Procs() > cfg.Machine.Procs {
+		return Result{}, fmt.Errorf("sim: RunReference: pattern has %d processor streams, machine %d",
+			pt.Procs(), cfg.Machine.Procs)
 	}
-	bc := cfg.Bank
-	rowsOn := bc.CacheLines > 0
-	hit, miss := int(bc.HitDelay), int(bc.MissDelay)
-	regW, regB := int(bc.RegWindow), bc.RegBudget
-	warp := bc.WarpSize
-	switch bc.Discipline {
-	case FIFO, DRAM:
-		if rowsOn && bc.HitDelay != math.Trunc(bc.HitDelay) {
-			return Result{}, fmt.Errorf("sim: RunReference needs an integral Bank.HitDelay")
-		}
-		if bc.Discipline == DRAM {
-			if bc.MissDelay != math.Trunc(bc.MissDelay) {
-				return Result{}, fmt.Errorf("sim: RunReference needs an integral Bank.MissDelay")
-			}
-			if bc.Groups > 0 {
-				return Result{}, fmt.Errorf("sim: RunReference does not model bank groups")
-			}
-		}
-	case Regulated:
-		if bc.RegWindow != math.Trunc(bc.RegWindow) {
-			return Result{}, fmt.Errorf("sim: RunReference needs an integral Bank.RegWindow")
-		}
-	case GPUShared:
-		if cfg.NetDelay < 1 {
-			return Result{}, fmt.Errorf("sim: RunReference needs NetDelay >= 1 under GPUShared")
-		}
-	}
-
-	netDelay := int(cfg.NetDelay)
-	bm := cfg.BankMap
+	m, bc := cfg.Machine, cfg.Bank
 	gpu := bc.Discipline == GPUShared
+	sections := cfg.UseSections && m.Sections > 1
+	rowsOn := bc.CacheLines > 0
+	groupsOn := bc.Discipline == DRAM && bc.Groups > 0 && bc.GroupGap > 0
 
-	type reqRef struct {
-		proc int
+	delays := []float64{m.G, m.D, cfg.NetDelay}
+	if sections {
+		delays = append(delays, m.SectionGap)
+	}
+	if rowsOn {
+		delays = append(delays, bc.HitDelay)
+	}
+	switch bc.Discipline {
+	case DRAM:
+		delays = append(delays, bc.MissDelay, bc.GroupGap)
+	case Regulated:
+		delays = append(delays, bc.RegWindow)
+	}
+	scale := 0.0
+	for k := 0; k <= 4 && scale == 0; k++ {
+		s := math.Ldexp(1, k)
+		scale = s
+		for _, v := range delays {
+			if v*s != math.Trunc(v*s) {
+				scale = 0
+			}
+		}
+	}
+	if scale == 0 {
+		return Result{}, fmt.Errorf("sim: RunReference needs every delay to be a multiple of 1/16 cycle")
+	}
+	ticks := func(v float64) int64 { return int64(v * scale) }
+	g, d, nd := ticks(m.G), ticks(m.D), ticks(cfg.NetDelay)
+	secGap, hit, miss := ticks(m.SectionGap), ticks(bc.HitDelay), ticks(bc.MissDelay)
+	gap, regW := ticks(bc.GroupGap), ticks(bc.RegWindow)
+
+	const (
+		inject = iota
+		sectionArrive
+		sectionDone
+		bankArrive
+		bankDone
+		complete
+	)
+	type req struct {
+		proc, seq int
+		addr      uint64
+		bank      int
+	}
+	type action struct {
+		kind int
 		seq  int
-		addr uint64
+		r    req // the request; for inject only r.proc is set
+		unit int // the section of sectionDone, the bank of bankDone
 	}
-	type flight struct {
-		reqRef
-		bank   int
-		arrive int
+	type station struct {
+		busy  bool
+		queue []req
 	}
-	type response struct {
-		proc int
-		seq  int
-		due  int
+	type proc struct {
+		next, outstanding int
+		blocked           bool
+		nextIssue         int64
 	}
-	var inFlight []flight
-	var responses []response
-	bankQueue := make([][]reqRef, m.Banks)
-	bankBusyUntil := make([]int, m.Banks)
-	bankBusy := make([]bool, m.Banks)
-	bankRows := make([][]uint64, m.Banks)
-	regEpoch := make([]int, m.Banks)
-	regUsed := make([]int, m.Banks)
-	rowShift := rowShiftOf(bc.RowWords)
 
 	res := Result{Requests: pt.N()}
-	if pt.N() == 0 {
-		return res, nil
+	due := map[int64][]action{}
+	pending := 0
+	post := func(at int64, a action) {
+		due[at] = append(due[at], a)
+		pending++
 	}
+	seq := 0
+	newSeq := func() int { seq++; return seq }
 
-	g := int(m.G)
-	d := int(m.D)
-	next := make([]int, pt.Procs())        // next index to issue per proc
-	outstanding := make([]int, pt.Procs()) // GPU: lanes awaiting responses
-	nextIssueAt := make([]int, pt.Procs()) // GPU: earliest next warp issue
-	type pendingInject struct {
-		proc    int
-		issueAt int
+	procs := make([]proc, pt.Procs())
+	secs := make([]station, m.Sections)
+	banks := make([]station, m.Banks)
+	served := make([]int, m.Banks)
+	rows := make([][]uint64, m.Banks)
+	regEpoch := make([]int64, m.Banks)
+	regUsed := make([]int, m.Banks)
+	banksPerSection, banksPerGroup := m.Banks, m.Banks
+	if sections {
+		banksPerSection = (m.Banks + m.Sections - 1) / m.Sections
 	}
-	// GPU warps issue in the order their injections were enabled (the
-	// engine's inject events carry the sequence numbers of their
-	// scheduling), starting with every processor at clock 0.
-	var injects []pendingInject
-	if gpu {
-		for p := 0; p < pt.Procs(); p++ {
-			if len(pt.PerProc[p]) > 0 {
-				injects = append(injects, pendingInject{proc: p})
-			}
-		}
+	if bc.Groups > 0 {
+		banksPerGroup = (m.Banks + bc.Groups - 1) / bc.Groups
 	}
+	groupReady := make([]int64, max(bc.Groups, 1))
+	rowShift := rowShiftOf(bc.RowWords)
+	var busyTicks, stallTicks, lastDone int64
 
-	// rowAccess mirrors the engine's per-bank LRU open-row bookkeeping,
-	// reimplemented naively on purpose.
-	rowAccess := func(b int, addr uint64) bool {
+	// rowHit looks addr's row up in bank b's LRU row buffer (most recent
+	// last) and records the access.
+	rowHit := func(b int, addr uint64) bool {
 		row := addr >> rowShift
-		rows := bankRows[b]
-		for i, r := range rows {
+		for i, r := range rows[b] {
 			if r == row {
-				bankRows[b] = append(append(rows[:i:i], rows[i+1:]...), row)
+				rows[b] = append(append(rows[b][:i:i], rows[b][i+1:]...), row)
 				return true
 			}
 		}
-		if len(rows) >= bc.CacheLines {
-			rows = rows[1:]
+		if len(rows[b]) == bc.CacheLines {
+			rows[b] = rows[b][1:]
 		}
-		bankRows[b] = append(rows, row)
+		rows[b] = append(rows[b], row)
 		return false
 	}
 
-	seq := 0
-	served := 0
-	lastDone := 0
+	respond := func(r req, doneAt int64) {
+		served[r.bank]++
+		post(doneAt+nd, action{kind: complete, seq: r.seq, r: r})
+	}
 
-	// start begins one bank service at clock and performs the discipline's
-	// accounting; deferred starts (Regulated) hold the bank through the
-	// wait exactly as the engine does.
-	start := func(b int, r reqRef, clock int, queued bool) {
-		at := clock
-		service := d
+	startBank := func(b int, r req, now int64, queued bool) {
+		banks[b].busy = true
+		start, service := now, d
 		switch bc.Discipline {
 		case FIFO:
-			if rowsOn && rowAccess(b, r.addr) {
+			if rowsOn && rowHit(b, r.addr) {
 				service = hit
 				res.RowHits++
 			}
 		case DRAM:
-			if rowAccess(b, r.addr) {
+			if rowHit(b, r.addr) {
 				service = hit
 				res.RowHits++
 			} else {
 				service = miss
 				res.RowConflicts++
 			}
-		case Regulated:
-			if ep := clock / regW; ep > regEpoch[b] {
-				regEpoch[b] = ep
-				regUsed[b] = 0
+			if groupsOn {
+				grp := b / banksPerGroup
+				start = max(start, groupReady[grp])
+				groupReady[grp] = start + gap
 			}
-			if regUsed[b] >= regB {
+		case Regulated:
+			if ep := now / regW; ep > regEpoch[b] {
+				regEpoch[b], regUsed[b] = ep, 0
+			}
+			if regUsed[b] >= bc.RegBudget {
 				regEpoch[b]++
 				regUsed[b] = 0
-				at = regEpoch[b] * regW
+				start = regEpoch[b] * regW
 				res.ThrottleStalls++
-				res.ThrottleStallCycles += float64(at - clock)
+				stallTicks += start - now
 			}
 			regUsed[b]++
 		case GPUShared:
@@ -184,130 +216,140 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 				res.WarpReplays++
 			}
 		}
-		bankBusy[b] = true
-		bankBusyUntil[b] = at + service
 		res.BankServices++
-		res.BankBusy += float64(service)
-		served++
-		done := at + service + netDelay
-		if done > lastDone {
-			lastDone = done
+		busyTicks += service
+		respond(r, start+service)
+		if cfg.Combining {
+			var rest []req
+			for _, q := range banks[b].queue {
+				if q.addr == r.addr {
+					respond(q, start+service)
+				} else {
+					rest = append(rest, q)
+				}
+			}
+			banks[b].queue = rest
 		}
-		if gpu {
-			responses = append(responses, response{proc: r.proc, seq: r.seq, due: done})
+		post(start+service, action{kind: bankDone, seq: r.seq, unit: b})
+	}
+
+	startSection := func(s int, r req, now int64) {
+		secs[s].busy = true
+		post(now+secGap, action{kind: sectionDone, seq: r.seq, r: r, unit: s})
+	}
+
+	issue := func(p int, now int64) {
+		addr := pt.PerProc[p][procs[p].next]
+		r := req{proc: p, seq: newSeq(), addr: addr, bank: cfg.BankMap.Bank(addr)}
+		procs[p].next++
+		procs[p].outstanding++
+		if sections {
+			post(now+nd, action{kind: sectionArrive, seq: r.seq, r: r})
+		} else {
+			post(now+nd, action{kind: bankArrive, seq: r.seq, r: r})
 		}
 	}
 
-	for clock := 0; served < pt.N(); clock++ {
-		// Non-termination guard only: netDelay counts twice because the
-		// closed-loop GPU path pays it on the request and again on the
-		// response before a conflicting lane can replay, so a fully
-		// serialized single-bank warp legitimately needs ~N*(d+2*netDelay).
-		if clock > pt.N()*(d+hit+miss+regW+g+2*netDelay+8)+1000 {
-			return Result{}, fmt.Errorf("sim: RunReference did not converge")
-		}
-		// 1. Responses arrive back (GPU only — elsewhere they have no
-		// feedback). The engine dispatches same-cycle completions in
-		// request order, and a warp whose last lane returns now may issue
-		// again this very cycle.
-		if gpu && len(responses) > 0 {
-			var due []response
-			kept := responses[:0]
-			for _, r := range responses {
-				if r.due == clock {
-					due = append(due, r)
-				} else {
-					kept = append(kept, r)
-				}
-			}
-			responses = kept
-			sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
-			for _, r := range due {
-				outstanding[r.proc]--
-				if outstanding[r.proc] == 0 && next[r.proc] < len(pt.PerProc[r.proc]) {
-					at := clock
-					if nextIssueAt[r.proc] > at {
-						at = nextIssueAt[r.proc]
-					}
-					injects = append(injects, pendingInject{proc: r.proc, issueAt: at})
-				}
-			}
-		}
-		// 2. Issue. Legacy open loop: each processor injects one request
-		// every g cycles. GPU: enabled warps inject WarpSize lanes at once,
-		// in enablement order.
-		if gpu {
-			kept := injects[:0]
-			for _, in := range injects {
-				if in.issueAt > clock {
-					kept = append(kept, in)
-					continue
-				}
-				p := in.proc
-				w := len(pt.PerProc[p]) - next[p]
-				if w > warp {
-					w = warp
-				}
-				nextIssueAt[p] = clock + g
-				for i := 0; i < w; i++ {
-					addr := pt.PerProc[p][next[p]]
-					seq++
-					next[p]++
-					outstanding[p]++
-					inFlight = append(inFlight, flight{
-						reqRef: reqRef{proc: p, seq: seq, addr: addr},
-						bank:   bm.Bank(addr), arrive: clock + netDelay,
-					})
-				}
-			}
-			injects = kept
-		} else if clock%g == 0 {
-			for p := range pt.PerProc {
-				if next[p] < len(pt.PerProc[p]) {
-					addr := pt.PerProc[p][next[p]]
-					seq++
-					next[p]++
-					inFlight = append(inFlight, flight{
-						reqRef: reqRef{proc: p, seq: seq, addr: addr},
-						bank:   bm.Bank(addr), arrive: clock + netDelay,
-					})
-				}
-			}
-		}
-		// 3. Arrivals: an idle bank starts serving on the spot; a busy one
-		// (including one whose service ends this very cycle — the engine
-		// orders arrivals before completions) queues the request.
-		kept := inFlight[:0]
-		for _, f := range inFlight {
-			if f.arrive != clock {
-				kept = append(kept, f)
-				continue
-			}
-			if bankBusy[f.bank] {
-				bankQueue[f.bank] = append(bankQueue[f.bank], f.reqRef)
-				if len(bankQueue[f.bank]) > res.MaxBankQueue {
-					res.MaxBankQueue = len(bankQueue[f.bank])
-				}
-			} else {
-				start(f.bank, f.reqRef, clock, false)
-			}
-		}
-		inFlight = kept
-		// 4. Banks finish services and pull from their queues; a zero-cycle
-		// service chain drains within the cycle, as the engine's same-time
-		// done events do.
-		for b := range bankQueue {
-			for bankBusy[b] && bankBusyUntil[b] == clock {
-				if len(bankQueue[b]) > 0 {
-					r := bankQueue[b][0]
-					bankQueue[b] = bankQueue[b][1:]
-					start(b, r, clock, true)
-				} else {
-					bankBusy[b] = false
-				}
-			}
+	for p, addrs := range pt.PerProc {
+		if len(addrs) > 0 {
+			post(0, action{kind: inject, seq: newSeq(), r: req{proc: p}})
 		}
 	}
-	res.Cycles = float64(lastDone)
+
+	// Non-termination guard only: every request's issue gap, transit both
+	// ways, section slot, longest service and longest deferral, all
+	// serialized, bound the whole run.
+	limit := int64(pt.N()+1)*(g+2*nd+secGap+d+hit+miss+gap*int64(banksPerGroup)+regW+1) + 1000
+	for clock := int64(0); pending > 0; clock++ {
+		if clock > limit {
+			return Result{}, fmt.Errorf("sim: RunReference did not converge")
+		}
+		for len(due[clock]) > 0 {
+			list := due[clock]
+			least := 0
+			for i, a := range list {
+				if a.kind < list[least].kind || a.kind == list[least].kind && a.seq < list[least].seq {
+					least = i
+				}
+			}
+			a := list[least]
+			list[least] = list[len(list)-1]
+			due[clock] = list[:len(list)-1]
+			pending--
+
+			switch a.kind {
+			case inject:
+				p := a.r.proc
+				ps := &procs[p]
+				switch {
+				case gpu:
+					ps.nextIssue = clock + g
+					for w := 0; w < bc.WarpSize && ps.next < len(pt.PerProc[p]); w++ {
+						issue(p, clock)
+					}
+				case cfg.Window > 0 && ps.outstanding >= cfg.Window:
+					ps.blocked = true
+				default:
+					ps.nextIssue = clock + g
+					issue(p, clock)
+					if ps.next < len(pt.PerProc[p]) {
+						post(ps.nextIssue, action{kind: inject, seq: newSeq(), r: req{proc: p}})
+					}
+				}
+			case sectionArrive:
+				s := a.r.bank / banksPerSection
+				if secs[s].busy {
+					secs[s].queue = append(secs[s].queue, a.r)
+					res.MaxSectionQueue = max(res.MaxSectionQueue, len(secs[s].queue))
+				} else {
+					startSection(s, a.r, clock)
+				}
+			case sectionDone:
+				post(clock, action{kind: bankArrive, seq: a.r.seq, r: a.r})
+				s := &secs[a.unit]
+				if len(s.queue) > 0 {
+					next := s.queue[0]
+					s.queue = s.queue[1:]
+					startSection(a.unit, next, clock)
+				} else {
+					s.busy = false
+				}
+			case bankArrive:
+				b := a.r.bank
+				if banks[b].busy {
+					banks[b].queue = append(banks[b].queue, a.r)
+					res.MaxBankQueue = max(res.MaxBankQueue, len(banks[b].queue))
+				} else {
+					startBank(b, a.r, clock, false)
+				}
+			case bankDone:
+				b := &banks[a.unit]
+				if len(b.queue) > 0 {
+					next := b.queue[0]
+					b.queue = b.queue[1:]
+					startBank(a.unit, next, clock, true)
+				} else {
+					b.busy = false
+				}
+			case complete:
+				ps := &procs[a.r.proc]
+				ps.outstanding--
+				lastDone = max(lastDone, clock)
+				more := ps.next < len(pt.PerProc[a.r.proc])
+				if (gpu && ps.outstanding == 0 && more) || ps.blocked {
+					ps.blocked = false
+					post(max(clock, ps.nextIssue), action{kind: inject, seq: newSeq(), r: req{proc: a.r.proc}})
+				}
+			}
+		}
+		delete(due, clock)
+	}
+
+	res.Cycles = float64(lastDone) / scale
+	res.BankBusy = float64(busyTicks) / scale
+	res.ThrottleStallCycles = float64(stallTicks) / scale
+	for b := range banks {
+		res.MaxBankServed = max(res.MaxBankServed, served[b])
+	}
 	return res, nil
 }

@@ -8,190 +8,6 @@ import (
 	"dxbsp/internal/core"
 )
 
-// Config describes one simulation run.
-type Config struct {
-	Machine core.Machine
-	BankMap core.BankMap // defaults to interleave over Machine.Banks
-
-	// Window is the maximum number of outstanding requests per processor.
-	// 0 means unlimited (open-loop vector pipeline, the default: latency
-	// is hidden by vectorization, as on the Cray).
-	Window int
-
-	// Combining makes banks satisfy all queued requests for the same
-	// address with a single d-cycle service. The machines modeled by the
-	// paper do not combine (the paper explicitly excludes Ranade-style
-	// combining); this switch exists for the ablation bench.
-	Combining bool
-
-	// NetDelay is the one-way transit time between a processor and a bank.
-	// It defaults to Machine.L/2 and affects only latency, not bandwidth.
-	NetDelay float64
-
-	// UseSections enables the network-section bottleneck when
-	// Machine.Sections > 1.
-	UseSections bool
-
-	// Bank selects and parameterizes the bank service discipline; the
-	// zero value is the paper's FIFO bank. See BankConfig.
-	Bank BankConfig
-
-	// BankCacheLines enables the cached-DRAM bank organization studied by
-	// Hsu and Smith [HS93] (and available on the Tera), which the paper
-	// cites as a refinement the (d,x)-BSP omits: each bank keeps an LRU
-	// buffer of the most recent BankCacheLines rows; an access that hits a
-	// buffered row is serviced in BankHitDelay cycles instead of d.
-	// 0 disables caching (the paper's machines).
-	//
-	// Deprecated: set Bank.CacheLines. Normalize folds this field into
-	// the Bank sub-config (it is ignored when Bank already configures row
-	// buffers), so existing callers and cache fingerprints are unchanged.
-	BankCacheLines int
-
-	// BankHitDelay is the service time of a row-buffer hit. Defaults to 1.
-	//
-	// Deprecated: set Bank.HitDelay; see BankCacheLines.
-	BankHitDelay float64
-
-	// BankRowShift is log2 of the row size in words: addresses sharing
-	// addr>>BankRowShift are in the same row. Defaults to 5 (32 words).
-	//
-	// Deprecated: set Bank.RowWords, whose explicit set/unset encoding
-	// (0 = default) also makes the 1-word row this field could not
-	// express representable; see BankCacheLines.
-	BankRowShift uint
-
-	// Probe, when non-nil, receives per-event observations of the run
-	// (see Probe). It is results-neutral by contract — attaching a probe
-	// never changes Result — and it is deliberately excluded from the
-	// runner's cache identity, which fingerprints the behavioral knobs
-	// field by field.
-	Probe Probe
-}
-
-// ConfigError reports an invalid simulation configuration. It names the
-// offending Config field so callers can distinguish misconfiguration from
-// runtime failures (use errors.As).
-type ConfigError struct {
-	Field  string
-	Reason string
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("sim: invalid Config.%s: %s", e.Field, e.Reason)
-}
-
-// Normalize returns a copy of c with the documented defaults applied in one
-// place: a BankMap over Machine.Banks (interleaved, or GPU word-interleaved
-// under the GPUShared discipline), NetDelay = Machine.L/2, the deprecated
-// BankCacheLines/BankHitDelay/BankRowShift fields folded into the Bank
-// sub-config, and the per-discipline Bank defaults (see BankConfig).
-// Run normalizes internally; callers that fingerprint or compare configs
-// (the runner's memo cache) call Normalize so that a default-valued config
-// and an explicitly-defaulted one are identical.
-func (c Config) Normalize() Config {
-	if c.BankMap == nil {
-		if c.Bank.Discipline == GPUShared {
-			c.BankMap = core.GPUSharedMap{Banks: c.Machine.Banks}
-		} else {
-			c.BankMap = core.InterleaveMap{Banks: c.Machine.Banks}
-		}
-	}
-	if c.NetDelay == 0 {
-		c.NetDelay = c.Machine.L / 2
-	}
-	// Fold the deprecated HS93 fields into the sub-config. The fold fires
-	// only when the sub-config does not already configure row buffers, so
-	// normalizing twice is the identity and an explicit Bank setting wins.
-	if c.Bank.Discipline == FIFO && c.Bank.CacheLines == 0 && c.BankCacheLines > 0 {
-		c.Bank.CacheLines = c.BankCacheLines
-		if c.Bank.HitDelay == 0 {
-			c.Bank.HitDelay = c.BankHitDelay
-		}
-		if c.Bank.RowWords == 0 && c.BankRowShift > 0 && c.BankRowShift < 64 {
-			c.Bank.RowWords = 1 << c.BankRowShift
-		}
-	}
-	c.Bank = c.Bank.normalize(c.Machine)
-	return c
-}
-
-// Validate rejects configurations Run cannot execute faithfully. It checks
-// the (normalized) simulator knobs; the machine itself is checked by
-// core.Machine.Validate. Invalid knobs return a *ConfigError rather than
-// being silently clamped.
-func (c Config) Validate() error {
-	switch {
-	case c.Window < 0:
-		return &ConfigError{Field: "Window", Reason: fmt.Sprintf("must be >= 0 (0 = open loop), got %d", c.Window)}
-	case c.NetDelay < 0:
-		return &ConfigError{Field: "NetDelay", Reason: fmt.Sprintf("must be >= 0, got %g", c.NetDelay)}
-	case c.BankCacheLines < 0:
-		return &ConfigError{Field: "BankCacheLines", Reason: fmt.Sprintf("must be >= 0 (0 = uncached), got %d", c.BankCacheLines)}
-	case c.BankCacheLines > 0 && c.BankHitDelay < 0:
-		return &ConfigError{Field: "BankHitDelay", Reason: fmt.Sprintf("must be >= 0, got %g", c.BankHitDelay)}
-	case c.BankCacheLines > 0 && c.BankRowShift >= 64:
-		return &ConfigError{Field: "BankRowShift", Reason: fmt.Sprintf("must be < 64, got %d", c.BankRowShift)}
-	}
-	if err := c.validateBank(); err != nil {
-		return err
-	}
-	if c.BankMap != nil && c.BankMap.NumBanks() != c.Machine.Banks {
-		return &ConfigError{Field: "BankMap", Reason: fmt.Sprintf("covers %d banks, machine has %d",
-			c.BankMap.NumBanks(), c.Machine.Banks)}
-	}
-	return nil
-}
-
-// Result reports the outcome of simulating one superstep.
-type Result struct {
-	// Cycles is the completion time of the bulk operation: the cycle at
-	// which the last response arrives back at its processor.
-	Cycles float64
-	// Requests is the number of requests simulated.
-	Requests int
-	// BankServices is the number of bank service occupations; equal to
-	// Requests unless combining merged some.
-	BankServices int
-	// MaxBankServed is the largest number of requests handled by one bank.
-	MaxBankServed int
-	// MaxBankQueue is the high-water mark of any bank's queue length.
-	MaxBankQueue int
-	// MaxSectionQueue is the high-water mark of any section queue.
-	MaxSectionQueue int
-	// BankBusy is the total busy time summed over banks.
-	BankBusy float64
-	// RowHits counts bank services satisfied from the row buffer (always 0
-	// unless row buffers are on: FIFO with Bank.CacheLines > 0, or DRAM).
-	RowHits int
-	// RowConflicts counts DRAM services that missed every open row and
-	// paid Bank.MissDelay (always 0 outside the DRAM discipline).
-	RowConflicts int
-	// ThrottleStalls counts bank services the Regulated discipline
-	// deferred to the next regulation window; ThrottleStallCycles is the
-	// total time those services waited (always 0 outside Regulated).
-	ThrottleStalls      int
-	ThrottleStallCycles float64
-	// WarpReplays counts GPUShared services that had to replay — wait in
-	// a bank's line behind a conflicting lane of the same or an earlier
-	// warp — rather than start on arrival (always 0 outside GPUShared).
-	WarpReplays int
-	// Analytic marks a result produced by the closed-form surrogate
-	// (internal/surrogate) instead of event simulation. The simulator
-	// never sets it; renderers and metrics use it to tag mixed
-	// sim/surrogate sweeps.
-	Analytic bool
-}
-
-// CyclesPerElement returns processor-cycles per element, the unit the
-// paper's graphs use.
-func (r Result) CyclesPerElement(p int) float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return r.Cycles * float64(p) / float64(r.Requests)
-}
-
 type request struct {
 	proc int
 	seq  int // global issue sequence for deterministic ties
@@ -202,11 +18,12 @@ type request struct {
 type eventKind uint8
 
 const (
-	evInject      eventKind = iota // processor attempts next injection
-	evSectionDone                  // section finished forwarding a request
-	evBankArrive                   // request arrives at its bank
-	evBankDone                     // bank finished a service
-	evComplete                     // response arrives back at processor
+	evInject        eventKind = iota // processor attempts next injection
+	evSectionArrive                  // request arrives at its network section
+	evSectionDone                    // section finished forwarding a request
+	evBankArrive                     // request arrives at its bank
+	evBankDone                       // bank finished a service
+	evComplete                       // response arrives back at processor
 )
 
 // event is one scheduled state transition. It is a flat 40-byte value —
@@ -260,13 +77,6 @@ type engine struct {
 	banks    []server
 	seq      int
 
-	// useHeap forces the retained 4-ary heap scheduler instead of the
-	// calendar queue. Test-only: the heap-vs-wheel differential
-	// (TestWheelVsHeapDifferential) runs both over identical configs and
-	// asserts byte-identical Results. One predictable branch per event.
-	useHeap bool
-	heapq   eventQueue
-
 	// openLoop marks the Window == 0 fast path: no processor can ever
 	// block, so per-request evComplete events are collapsed into direct
 	// lastDone bookkeeping in respond.
@@ -319,31 +129,6 @@ type engine struct {
 // sectionOf maps a bank to its network section.
 func (e *engine) sectionOf(bank int) int { return bank / e.banksPerSection }
 
-// pending returns the number of scheduled events.
-func (e *engine) pending() int {
-	if e.useHeap {
-		return e.heapq.len()
-	}
-	return e.events.len()
-}
-
-// sched inserts ev into the active scheduler.
-func (e *engine) sched(ev event) {
-	if e.useHeap {
-		e.heapq.push(ev)
-		return
-	}
-	e.events.push(ev)
-}
-
-// next removes and returns the (time, kind, seq)-minimum event.
-func (e *engine) next() event {
-	if e.useHeap {
-		return e.heapq.pop()
-	}
-	return e.events.pop()
-}
-
 // cancelCheckEvents is how many simulated events pass between context
 // polls in RunContext. Power of two; small enough that even quick-scale
 // simulations (tens of thousands of events) observe cancellation
@@ -351,8 +136,8 @@ func (e *engine) next() event {
 const cancelCheckEvents = 1024
 
 // Run simulates one superstep of pattern pt under cfg and returns the
-// result. It panics on an invalid machine; other misconfiguration returns
-// an error. Run is RunContext without cancellation.
+// result. Invalid configuration returns an error (a *ConfigError or a
+// *core.MachineError). Run is RunContext without cancellation.
 func Run(cfg Config, pt core.Pattern) (Result, error) {
 	return RunContext(context.Background(), cfg, pt)
 }
@@ -364,27 +149,6 @@ func Run(cfg Config, pt core.Pattern) (Result, error) {
 // references; see engine.release), so the pool never pins a caller's
 // pattern or probe.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
-
-// AcquireEngine borrows an event Engine from the package pool that
-// RunContext's event-engine path draws from — warm in the steady state,
-// so the borrow costs no allocation. Callers that issue many runs from
-// one goroutine (a worker loop, a benchmark) can hold the engine across
-// all of them instead of paying a pool round-trip per run. Every
-// AcquireEngine must be paired with ReleaseEngine; an engine is
-// single-run at a time (see Engine).
-func AcquireEngine() *Engine {
-	return enginePool.Get().(*Engine)
-}
-
-// ReleaseEngine returns an acquired engine to the package pool. It first
-// drops every reference the engine borrowed from its last run's inputs
-// (pattern slices, probe, bank map), so a parked engine pins only its own
-// retained arenas, never the caller's data. The engine must not be used
-// after release.
-func ReleaseEngine(e *Engine) {
-	e.eng.release()
-	enginePool.Put(e)
-}
 
 // RunContext is Run with cooperative cancellation: the event loop polls
 // ctx every cancelCheckEvents events, the lockstep walk before its first
@@ -411,9 +175,10 @@ func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error
 		ReleaseBatchEngine(b)
 		return res, err
 	}
-	e := AcquireEngine()
+	e := enginePool.Get().(*Engine)
 	res, err := e.Run(ctx, cfg, pt)
-	ReleaseEngine(e)
+	e.eng.release()
+	enginePool.Put(e)
 	return res, err
 }
 
@@ -426,14 +191,14 @@ func lockstepSolo(cfg Config) bool {
 // simulate drains the event queue and assembles the result.
 func (e *engine) simulate(ctx context.Context) (Result, error) {
 	processed := 0
-	for e.pending() > 0 {
+	for e.events.len() > 0 {
 		processed++
 		if processed%cancelCheckEvents == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("sim: cancelled after %d events: %w", processed, err)
 			}
 		}
-		e.dispatch(e.next())
+		e.dispatch(e.events.pop())
 	}
 
 	e.res.Cycles = e.lastDone
@@ -465,6 +230,9 @@ func (e *engine) dispatch(ev event) {
 	switch ev.kind {
 	case evInject:
 		e.inject(int(ev.proc), ev.time)
+	case evSectionArrive:
+		req := ev.req()
+		e.arriveSection(e.sectionOf(req.bank), req, ev.time)
 	case evSectionDone:
 		e.sectionDone(int(ev.idx), ev.req(), ev.time)
 	case evBankArrive:
@@ -497,17 +265,25 @@ func (e *engine) inject(p int, now float64) {
 	ps.nextIssueAt = now + e.cfg.Machine.G
 
 	// Route into the network: either straight to the bank, or through the
-	// bank's section first.
-	if len(e.sections) > 1 {
-		sec := e.sectionOf(req.bank)
-		e.arriveSection(sec, req, now+e.cfg.NetDelay)
-	} else {
-		e.sched(event{time: now + e.cfg.NetDelay, seq: req.seq, kind: evBankArrive,
+	// bank's section first. A section reads its busy state when the
+	// request arrives, so a transit delay makes the arrival an event of
+	// its own. With no delay the arrival is handled here directly: nothing
+	// between this inject and an evSectionArrive at the same instant
+	// touches section state, so the order is the same, and the zero-delay
+	// section path (the J90 default) skips one push and pop per request.
+	switch {
+	case len(e.sections) <= 1:
+		e.events.push(event{time: now + e.cfg.NetDelay, seq: req.seq, kind: evBankArrive,
 			proc: int32(req.proc), addr: req.addr, bank: int32(req.bank)})
+	case e.cfg.NetDelay > 0:
+		e.events.push(event{time: now + e.cfg.NetDelay, seq: req.seq, kind: evSectionArrive,
+			proc: int32(req.proc), addr: req.addr, bank: int32(req.bank)})
+	default:
+		e.arriveSection(e.sectionOf(req.bank), req, now)
 	}
 
 	if ps.next < len(ps.addrs) {
-		e.sched(event{time: ps.nextIssueAt, seq: e.nextSeq(), kind: evInject, proc: int32(p)})
+		e.events.push(event{time: ps.nextIssueAt, seq: e.nextSeq(), kind: evInject, proc: int32(p)})
 	}
 }
 
@@ -532,7 +308,7 @@ func (e *engine) injectWarp(p int, now float64) {
 		req := request{proc: p, seq: e.nextSeq(), addr: addr, bank: bankOf(e.bmKind, e.bmArg, e.bm, addr)}
 		ps.next++
 		ps.outstanding++
-		e.sched(event{time: now + e.cfg.NetDelay, seq: req.seq, kind: evBankArrive,
+		e.events.push(event{time: now + e.cfg.NetDelay, seq: req.seq, kind: evBankArrive,
 			proc: int32(req.proc), addr: req.addr, bank: int32(req.bank)})
 	}
 }
@@ -556,13 +332,13 @@ func (e *engine) startSection(sec int, req request, now float64, queued bool) {
 		e.rp.SectionStart(sec, now, queued)
 	}
 	done := now + e.cfg.Machine.SectionGap
-	e.sched(event{time: done, seq: req.seq, kind: evSectionDone, idx: int32(sec),
+	e.events.push(event{time: done, seq: req.seq, kind: evSectionDone, idx: int32(sec),
 		proc: int32(req.proc), addr: req.addr, bank: int32(req.bank)})
 }
 
 func (e *engine) sectionDone(sec int, req request, now float64) {
 	// Forward to the bank, then start the next queued request.
-	e.sched(event{time: now, seq: req.seq, kind: evBankArrive,
+	e.events.push(event{time: now, seq: req.seq, kind: evBankArrive,
 		proc: int32(req.proc), addr: req.addr, bank: int32(req.bank)})
 	s := &e.sections[sec]
 	if next, ok := s.dequeue(); ok {
@@ -661,13 +437,13 @@ func (e *engine) startBank(bank int, req request, now float64, queued bool) {
 	if e.rp != nil {
 		e.rp.BankStart(bank, start, service, start-now, rowHit, queued, combined)
 	}
-	e.sched(event{time: done, seq: req.seq, kind: evBankDone, idx: int32(bank)})
+	e.events.push(event{time: done, seq: req.seq, kind: evBankDone, idx: int32(bank)})
 }
 
 // respond delivers the response for a request whose bank service finishes
 // at done. In the open-loop default (Window == 0) no processor can ever
 // block, so the response's only observable effect is advancing the
-// completion clock — the per-request evComplete heap event is collapsed
+// completion clock — the per-request evComplete event is collapsed
 // into a direct max, removing one push+pop per request from the dominant
 // configuration. The resulting cycle counts are byte-identical: the
 // closed-loop complete handler under Window == 0 only ever updates
@@ -681,7 +457,7 @@ func (e *engine) respond(req request, done float64) {
 		}
 		return
 	}
-	e.sched(event{time: t, seq: req.seq, kind: evComplete, proc: int32(req.proc)})
+	e.events.push(event{time: t, seq: req.seq, kind: evComplete, proc: int32(req.proc)})
 }
 
 // rowAccess reports whether addr's row is in bank's row buffer and
@@ -730,7 +506,7 @@ func (e *engine) complete(p int, now float64) {
 			if ps.nextIssueAt > t {
 				t = ps.nextIssueAt
 			}
-			e.sched(event{time: t, seq: e.nextSeq(), kind: evInject, proc: int32(p)})
+			e.events.push(event{time: t, seq: e.nextSeq(), kind: evInject, proc: int32(p)})
 		}
 		return
 	}
@@ -743,6 +519,6 @@ func (e *engine) complete(p int, now float64) {
 		if ps.nextIssueAt > t {
 			t = ps.nextIssueAt
 		}
-		e.sched(event{time: t, seq: e.nextSeq(), kind: evInject, proc: int32(p)})
+		e.events.push(event{time: t, seq: e.nextSeq(), kind: evInject, proc: int32(p)})
 	}
 }

@@ -6,22 +6,22 @@ import (
 )
 
 // wheel is the engine's pending-event set: a bounded-horizon calendar
-// queue (timing wheel) that replaces the 4-ary heap on the hot path.
+// queue (timing wheel).
 //
 // The structural fact it exploits: every event the engine schedules lands
 // within a fixed horizon of the event being dispatched — an injection is
 // G ahead, a network hop NetDelay, a section slot SectionGap, a bank
-// completion at most max(D, BankHitDelay) + NetDelay (service plus the
-// response transit pushed from the service start). schedHorizon sums
-// these, so with buckets of width w covering more than horizon/w + slack
-// buckets, the pending ticks (tick = floor(time/w)) always span fewer
-// than len(buckets)-1 values and every bucket holds events of exactly one
-// tick. Push and pop are then O(1) amortized: push appends to
-// buckets[tick%nb], pop scans the cursor bucket for the (time, kind, seq)
+// completion at most the longest service plus the discipline's deferral
+// (see schedHorizon), and a response NetDelay after that. schedHorizon
+// sums these, so with buckets of width w covering more than horizon/w +
+// slack buckets, the pending ticks (tick = floor(time/w)) always span
+// fewer than len(buckets)-1 values and every bucket holds events of
+// exactly one tick. Push and pop are then O(1) amortized: push adds to
+// buckets[tick%nb], pop takes the cursor bucket's (time, kind, seq)
 // minimum and otherwise walks the occupancy bitmap to the next tick.
 //
-// The pop sequence is the exact (time, kind, seq) total order the heap
-// produced — load-bearing for the runner's memo cache and checkpoint
+// The pop sequence is the exact (time, kind, seq) total order of
+// eventLess — load-bearing for the runner's memo cache and checkpoint
 // journal, which key on the simulated cycle counts. Three facts make it
 // exact rather than approximate:
 //
@@ -30,14 +30,15 @@ import (
 //     rounding for every representable time;
 //   - tick is monotone in time, and all events sharing a time share a
 //     bucket, so cross-bucket order is by tick and within a bucket the
-//     scan compares full (time, kind, seq) keys;
+//     comparison is on full (time, kind, seq) keys;
 //   - the engine never schedules into the past (every push is at or after
 //     the event being dispatched), so the cursor never passes a pending
 //     event. push enforces the horizon invariant and panics on violation
 //     rather than silently misordering.
 //
-// TestWheelVsHeapDifferential and FuzzSimVsReference enforce equivalence
-// with the retained heap; see DESIGN.md §11.
+// TestWheelQueueLevel checks the pop order against a sorted-slice model;
+// TestEngineVsReferenceDifferential and FuzzSimVsReference check whole
+// runs against the per-clock RunReference oracle. See DESIGN.md §11.
 type wheel struct {
 	buckets [][]event // one slice per tick bucket; len is a power of two
 	occ     []uint64  // occupancy bitmap: bit b set iff buckets[b] non-empty
@@ -167,6 +168,23 @@ func wheelNeed(h float64, e int) int {
 }
 
 func (q *wheel) len() int { return q.n }
+
+// eventLess is the (time, kind, seq) total order the wheel pops in. Do
+// not reorder the tie-breaks: kind before seq puts a request arriving at
+// a bank before that bank's completion at the same instant, so the
+// arrival queues and the completion starts it — the order RunReference
+// specifies. Keys are unique —
+// seq identifies a request or an injection slot, and each request has at
+// most one pending event of each kind — so the order is strict.
+func eventLess(a, b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	return a.seq < b.seq
+}
 
 // push inserts ev. ev.time must be at or after the last popped event's
 // time and within the configured horizon of it — the engine's scheduling

@@ -2,25 +2,24 @@ package sim
 
 import (
 	"context"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"dxbsp/internal/core"
 	"dxbsp/internal/patterns"
 	"dxbsp/internal/rng"
 )
 
-// TestWheelVsHeapDifferential is the tentpole equivalence check for the
-// calendar-queue scheduler: the same engine run twice — once forced onto
-// the retained 4-ary heap, once on the wheel — over a broad sweep of
-// random (p, x, d, g, Window, NetDelay, sections, combining, discipline)
-// configurations, asserting byte-identical Results. The pop order is
+// TestEngineVsReferenceDifferential runs a broad sweep of random (p, x,
+// d, g, Window, NetDelay, sections, combining, discipline) configurations
+// through Run, the event engine and the per-clock RunReference oracle and
+// asserts identical Results. Every delay is a multiple of 1/4 cycle, so
+// the oracle covers the whole sweep: windows, sections, combining, DRAM
+// bank groups and fractional event times included. The pop order is
 // load-bearing (memo cache, checkpoint journal key on cycle counts), so
 // any divergence here is a correctness bug, not a tolerance question.
-// Half the configs run a non-FIFO discipline with fully random knobs —
-// including fractional delays and DRAM bank groups, which the
-// time-stepped oracle cannot model — so this is the broadest coverage of
-// the discipline hot paths.
-func TestWheelVsHeapDifferential(t *testing.T) {
+func TestEngineVsReferenceDifferential(t *testing.T) {
 	g := rng.New(0xD1FFE12E)
 	const configs = 160 // ≥ 64 per the regression contract, ~20 per discipline
 	for i := 0; i < configs; i++ {
@@ -51,15 +50,13 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 			Combining:   g.Intn(4) == 0,
 		}
 		if g.Intn(4) == 0 {
-			cfg.BankCacheLines = 1 + g.Intn(4)
-			cfg.BankHitDelay = float64(1+g.Intn(4)) / 2
+			cfg.Bank = BankConfig{CacheLines: 1 + g.Intn(4), HitDelay: float64(1+g.Intn(4)) / 2}
 		}
 		// Half the configs swap in a non-FIFO discipline; the draws respect
-		// Validate's per-discipline knob rules (no legacy cache fields, and
-		// GPUShared forbids windows, combining and sections).
+		// Validate's per-discipline knob rules (GPUShared forbids windows,
+		// combining and sections).
 		switch g.Intn(8) {
 		case 0, 1:
-			cfg.BankCacheLines, cfg.BankHitDelay = 0, 0
 			cfg.Bank = BankConfig{
 				Discipline: DRAM,
 				CacheLines: 1 + g.Intn(3),
@@ -72,7 +69,6 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 				cfg.Bank.GroupGap = float64(1+g.Intn(8)) / 4
 			}
 		case 2, 3:
-			cfg.BankCacheLines, cfg.BankHitDelay = 0, 0
 			cfg.Bank = BankConfig{
 				Discipline: Regulated,
 				RegWindow:  float64(1+g.Intn(64)) / 4,
@@ -81,76 +77,134 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 		case 4, 5:
 			cfg.Machine.Sections, cfg.Machine.SectionGap = 0, 0
 			cfg.Window, cfg.Combining, cfg.UseSections = 0, false, false
-			cfg.BankCacheLines, cfg.BankHitDelay = 0, 0
 			cfg.Bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + g.Intn(32)}
 		}
 		n := 1 << (6 + g.Intn(6))
 		pt := core.NewPattern(patterns.Uniform(n, 1<<20, g.Split()), p)
 
-		var wheelE, heapE Engine
-		heapE.eng.useHeap = true
-		got, err := wheelE.Run(context.Background(), cfg, pt)
+		want, err := RunReference(cfg, pt)
 		if err != nil {
-			t.Fatalf("config %d: wheel run: %v", i, err)
+			t.Fatalf("config %d: reference: %v", i, err)
 		}
-		want, err := heapE.Run(context.Background(), cfg, pt)
-		if err != nil {
-			t.Fatalf("config %d: heap run: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("config %d (%+v, n=%d): wheel and heap disagree:\n wheel: %+v\n heap:  %+v",
-				i, cfg, n, got, want)
+		for _, path := range []struct {
+			name string
+			run  func() (Result, error)
+		}{
+			{"Run", func() (Result, error) { return Run(cfg, pt) }},
+			{"event engine", func() (Result, error) { return NewEngine().Run(context.Background(), cfg, pt) }},
+		} {
+			got, err := path.run()
+			if err != nil {
+				t.Fatalf("config %d: %s: %v", i, path.name, err)
+			}
+			if got != want {
+				t.Fatalf("config %d (%+v, n=%d): %s disagrees with the reference:\n got:       %+v\n reference: %+v",
+					i, cfg, n, path.name, got, want)
+			}
 		}
 	}
 }
 
-// TestWheelVsHeapQueueLevel drives the two queue implementations directly
-// through a long random push/pop interleaving that respects the engine's
-// scheduling discipline (pushes land at or after the last pop, within the
-// horizon) and asserts the pop sequences are identical event for event.
-// This exercises the wheel's cursor wrap and bitmap advance over many
-// laps, which whole-engine runs only hit incidentally.
-func TestWheelVsHeapQueueLevel(t *testing.T) {
+// TestWheelQueueLevel drives the wheel directly through a long random
+// push/pop interleaving that respects the engine's scheduling discipline
+// (pushes land at or after the last pop, within the horizon) and checks
+// every pop against a sorted-slice model of the pending set. This
+// exercises the wheel's cursor wrap and bitmap advance over many laps,
+// which whole-engine runs only hit incidentally.
+func TestWheelQueueLevel(t *testing.T) {
 	cfg := Config{Machine: core.Machine{Procs: 4, Banks: 16, D: 10, G: 1, L: 20}}.Normalize()
 	h := schedHorizon(cfg) // 1 + 10 + 2*10 = 31
 
 	g := rng.New(42)
 	var w wheel
 	w.reset(cfg, cfg.Machine.Procs)
-	var q eventQueue
-	q.init(0)
+	var model []event // pending events, kept sorted by eventLess
+	pop := func() event {
+		got, want := w.pop(), model[0]
+		model = model[1:]
+		if got != want {
+			t.Fatalf("wheel popped %+v, model %+v", got, want)
+		}
+		return got
+	}
 
 	last := 0.0
 	seq := 0
 	for step := 0; step < 200000; step++ {
-		if q.len() == 0 || (w.len() < 256 && g.Intn(2) == 0) {
+		if len(model) == 0 || (w.len() < 256 && g.Intn(2) == 0) {
 			seq++
 			// Quantized offsets in [0, h) so times collide across pushes
 			// and tie-breaking is exercised; strictly under the horizon.
 			ev := event{
 				time: last + float64(g.Intn(int(h*8)))/8,
 				seq:  seq,
-				kind: eventKind(g.Intn(5)),
+				kind: eventKind(g.Intn(6)),
 				proc: int32(g.Intn(4)),
 			}
 			w.push(ev)
-			q.push(ev)
+			i := sort.Search(len(model), func(i int) bool { return eventLess(&ev, &model[i]) })
+			model = append(model[:i], append([]event{ev}, model[i:]...)...)
 			continue
 		}
-		got, want := w.pop(), q.pop()
-		if got != want {
-			t.Fatalf("step %d: wheel popped %+v, heap popped %+v", step, got, want)
-		}
-		last = got.time
+		last = pop().time
 	}
-	for q.len() > 0 {
-		got, want := w.pop(), q.pop()
-		if got != want {
-			t.Fatalf("drain: wheel popped %+v, heap popped %+v", got, want)
-		}
+	for len(model) > 0 {
+		pop()
 	}
 	if w.len() != 0 {
 		t.Fatalf("wheel reports %d events after drain", w.len())
+	}
+}
+
+// A batch of colliding pushes drains in exactly sort order.
+func TestEventQueueOrdersLikeSort(t *testing.T) {
+	cfg := Config{Machine: core.Machine{Procs: 4, Banks: 16, D: 10, G: 1, L: 20}}.Normalize()
+	f := func(seed uint64, nRaw uint16) bool {
+		g := rng.New(seed)
+		n := int(nRaw%500) + 1
+		events := make([]event, n)
+		for i := range events {
+			// Deliberately collide times and kinds so the tie-breaks are
+			// exercised; seq stays unique as in the engine.
+			events[i] = event{
+				time: float64(g.Intn(16)),
+				kind: eventKind(g.Intn(6)),
+				seq:  i,
+				proc: int32(g.Intn(8)),
+			}
+		}
+		var w wheel
+		w.reset(cfg, cfg.Machine.Procs)
+		for _, ev := range events {
+			w.push(ev)
+		}
+		want := append([]event(nil), events...)
+		sort.Slice(want, func(i, j int) bool { return eventLess(&want[i], &want[j]) })
+		for i := range want {
+			if w.pop() != want[i] {
+				return false
+			}
+		}
+		return w.len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestEventLessTotalOrderFields(t *testing.T) {
+	a := event{time: 1, kind: evInject, seq: 5}
+	b := event{time: 2, kind: evInject, seq: 1}
+	if !eventLess(&a, &b) {
+		t.Error("earlier time must win")
+	}
+	c := event{time: 1, kind: evComplete, seq: 1}
+	if !eventLess(&a, &c) {
+		t.Error("lower kind must win on equal time")
+	}
+	d := event{time: 1, kind: evInject, seq: 6}
+	if !eventLess(&a, &d) || eventLess(&d, &a) {
+		t.Error("lower seq must win on equal time and kind")
 	}
 }
 
@@ -236,7 +290,7 @@ func TestEngineReuseAcrossShapes(t *testing.T) {
 		{Machine: core.Machine{Procs: 8, Banks: 64, D: 6, G: 1, L: 8}},
 		{Machine: core.Machine{Procs: 2, Banks: 8, D: 3, G: 1, L: 0}, Window: 4},
 		{Machine: core.Machine{Procs: 16, Banks: 256, D: 14, G: 1, L: 16, Sections: 8, SectionGap: 0.5}, UseSections: true},
-		{Machine: core.Machine{Procs: 4, Banks: 32, D: 6, G: 2, L: 4}, BankCacheLines: 2},
+		{Machine: core.Machine{Procs: 4, Banks: 32, D: 6, G: 2, L: 4}, Bank: BankConfig{CacheLines: 2}},
 		{Machine: core.Machine{Procs: 8, Banks: 64, D: 6, G: 1, L: 8}}, // back to the first shape, caching now off
 	}
 	for round := 0; round < 3; round++ {
