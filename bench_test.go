@@ -215,9 +215,10 @@ func BenchmarkSimScatter64KEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkSimScatter64KWindowed exercises the closed-loop path (per-
-// request evComplete events), which the open-loop fast path of
-// BenchmarkSimScatter64K skips — regressions in either path stay visible.
+// BenchmarkSimScatter64KWindowed exercises the closed-loop path: Run
+// serves it on the one-lane walk, which detaches into the window-stall
+// replay almost at once, a path the open-loop BenchmarkSimScatter64K
+// skips — regressions in either path stay visible.
 func BenchmarkSimScatter64KWindowed(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
@@ -225,6 +226,24 @@ func BenchmarkSimScatter64KWindowed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{Machine: m, Window: 8}, pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimScatter64KWindowedP4096 is a windowed scatter at p = 4096
+// (x = 8, d = 14, Window 2): almost every request window-stalls, so Run
+// spends the run in the lockstep replay, whose per-event cost grows
+// with log p. It tracks the large-p end of that replay.
+func BenchmarkSimScatter64KWindowedP4096(b *testing.B) {
+	const p = 4096
+	m := core.Machine{Name: "wide", Procs: p, Banks: 8 * p, D: 14, G: 1, L: 8}
+	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), p)
+	cfg := sim.Config{Machine: m, Window: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(cfg, pt); err != nil {
 			b.Fatal(err)
 		}
 	}

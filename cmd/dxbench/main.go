@@ -11,7 +11,7 @@
 //	dxbench -n 65536         # bulk operation size
 //	dxbench -seed 7          # RNG seed
 //	dxbench -parallel 8      # worker count (default GOMAXPROCS)
-//	dxbench -batch 16        # lockstep-batch up to 16 concurrent sims
+//	dxbench -batch 16        # report lockstep batch-efficacy metrics
 //	dxbench -progress        # per-point progress on stderr
 //	dxbench -timing          # per-experiment timing + run summary
 //	dxbench -events run.json # JSON-lines event log
@@ -84,23 +84,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		expID     = fs.String("experiment", "", "experiment ID to run (default: all)")
-		discName  = fs.String("discipline", "", "run the experiment family for one bank discipline (fifo, dram, regulated, gpu)")
-		list      = fs.Bool("list", false, "list experiments and exit")
-		quick     = fs.Bool("quick", false, "use reduced sweep sizes")
-		n         = fs.Int("n", 0, "bulk operation size (default 65536, or 4096 with -quick)")
-		seed      = fs.Uint64("seed", 0, "random seed (default: built-in)")
-		format    = fs.String("format", "text", "output format: text, csv, or plot (ASCII chart)")
-		logx      = fs.Bool("logx", false, "log-scale x axis for -format plot")
-		logy      = fs.Bool("logy", false, "log-scale y axis for -format plot")
-		parallel  = fs.Int("parallel", 0, "worker goroutines per experiment (default: GOMAXPROCS)")
-		progress  = fs.Bool("progress", false, "report per-point progress on stderr")
-		timing    = fs.Bool("timing", false, "append per-experiment timing lines and a run summary")
-		events    = fs.String("events", "", "write a JSON-lines event log to this file")
-		nocache   = fs.Bool("nocache", false, "disable the memoized simulation cache")
-		batchK    = fs.Int("batch", 0, "group up to K concurrent simulations into one lockstep batch (0 or 1: off)")
-		batchWait = fs.Duration("batch-wait", 0, "how long a partial batch group waits for more lanes before flushing (0: 500µs default; needs -batch)")
-		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0: no limit)")
+		expID    = fs.String("experiment", "", "experiment ID to run (default: all)")
+		discName = fs.String("discipline", "", "run the experiment family for one bank discipline (fifo, dram, regulated, gpu)")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		quick    = fs.Bool("quick", false, "use reduced sweep sizes")
+		n        = fs.Int("n", 0, "bulk operation size (default 65536, or 4096 with -quick)")
+		seed     = fs.Uint64("seed", 0, "random seed (default: built-in)")
+		format   = fs.String("format", "text", "output format: text, csv, or plot (ASCII chart)")
+		logx     = fs.Bool("logx", false, "log-scale x axis for -format plot")
+		logy     = fs.Bool("logy", false, "log-scale y axis for -format plot")
+		parallel = fs.Int("parallel", 0, "worker goroutines per experiment (default: GOMAXPROCS)")
+		progress = fs.Bool("progress", false, "report per-point progress on stderr")
+		timing   = fs.Bool("timing", false, "append per-experiment timing lines and a run summary")
+		events   = fs.String("events", "", "write a JSON-lines event log to this file")
+		nocache  = fs.Bool("nocache", false, "disable the memoized simulation cache")
+		batchK   = fs.Int("batch", 0, "classify simulations for the lockstep batch-efficacy metrics (0 or 1: off); every eligible simulation takes the lockstep walk either way")
+		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0: no limit)")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -129,6 +128,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Sprintf("request count at which -surrogate auto routes a point (default %d)", runner.DefaultSurrogateThreshold))
 	)
 	if err := fs.Parse(args); err != nil {
+		return exitHard
+	}
+	// Counts and durations have no meaning below zero; reject them rather
+	// than let a default silently stand in.
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"n", *n < 0}, {"parallel", *parallel < 0}, {"retries", *retries < 0},
+		{"batch", *batchK < 0}, {"surrogate-threshold", *surrThreshold < 0},
+		{"chunk", *chunk < 0}, {"timeout", *timeout < 0}, {"point-timeout", *pointLimit < 0},
+	} {
+		if f.negative {
+			fmt.Fprintf(stderr, "dxbench: -%s must not be negative, got %s\n", f.name, fs.Lookup(f.name).Value)
+			return exitHard
+		}
+	}
+	if *leaseTTL <= 0 {
+		fmt.Fprintf(stderr, "dxbench: -lease-ttl must be positive, got %v\n", *leaseTTL)
 		return exitHard
 	}
 	if *format != "text" && *format != "csv" && *format != "plot" {
@@ -298,16 +316,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Compose the downstream simulation chain bottom-up: cache → faults →
-	// batcher → engine. The batcher sits below the cache so journaled and
-	// memoized points never re-batch (a -resume restores them without
-	// re-execution), and below the fault injector so chaos decisions stay
-	// per-lane — a faulted point never reaches the shared lockstep pass.
-	// Every layer is byte-transparent, so output is identical for any -batch
-	// K, worker count, and chaos/resume combination.
+	// batcher → engine. The batcher only classifies each simulation for
+	// the batch-efficacy metrics and forwards it; sim.RunContext picks the
+	// lockstep walk or the event engine. It sits below the cache and the
+	// fault injector, so it sees only the simulations that actually run.
+	// Every layer is byte-transparent, so output is identical for any
+	// -batch K, worker count, and chaos/resume combination.
 	var next experiments.SimRunner
 	if *batchK > 1 {
 		bt := runner.NewBatcher(*batchK)
-		bt.Window = *batchWait
 		if obs != nil {
 			bt.Observe = obs.ObserveBatchLane
 		}

@@ -2,173 +2,44 @@ package runner
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"dxbsp/internal/core"
 	"dxbsp/internal/experiments"
 	"dxbsp/internal/sim"
 )
 
-// defaultBatchWindow is how long a partially-filled batch group waits
-// for more lanes before flushing. Sweep workers submit cache misses in
-// bursts, so a full group normally forms in microseconds; the window
-// only matters for stragglers at a sweep's edges (fewer pending points
-// than K) and is kept well under a single simulation's runtime.
-const defaultBatchWindow = 500 * time.Microsecond
-
-// Batcher is the SimRunner middleware that groups concurrent simulation
-// calls over the same pattern into lockstep batches (sim.RunBatch). It
-// slots below the cache and the fault injector — cache → faults →
-// Batcher → sim — so only genuine cache misses batch, journaling keeps
-// its per-lane keys, and fault injection keeps per-lane (per-call)
-// semantics: a faulted call never reaches the batcher, and a batch
-// failure is re-run per-lane so one lane's cancellation cannot leak
-// into a sibling's result (DESIGN.md §14).
-//
-// Batching is transparent by construction: every lane of sim.RunBatch
-// is byte-identical to the scalar engine, so output bytes do not depend
-// on K, on how lanes happened to group, or on worker count — pinned by
-// TestBatcherByteIdentical and the dxbench -batch CLI tests.
+// Batcher is the SimRunner middleware behind dxbench -batch. It slots
+// below the cache and the fault injector — cache → faults → Batcher →
+// sim — and forwards every call unchanged. sim.RunContext already runs
+// each lockstep-eligible config on the one-lane lockstep walk, so the
+// Batcher groups nothing: it only classifies each call for the
+// batch-efficacy metrics (DESIGN.md §14). Output bytes therefore cannot
+// depend on K or on worker count.
 type Batcher struct {
-	// K is the target lanes per batch; values <= 1 make the Batcher a
-	// passthrough.
+	// K is the requested lanes per batch; values <= 1 turn the
+	// classification off.
 	K int
-	// Window overrides defaultBatchWindow when > 0.
-	Window time.Duration
-	// Next, when non-nil, runs lanes the batcher does not handle
-	// (passthrough and per-lane fallback). Nil means sim.RunContext.
+	// Next, when non-nil, runs every call. Nil means sim.RunContext.
 	Next experiments.SimRunner
-	// Observe, when non-nil, receives every call's batching outcome
-	// while batching is on: reason "" for lanes admitted to the
-	// lockstep fast path, otherwise the sim.BatchFallbackReason label
-	// for the forwarded call. Observer.ObserveBatchLane fits directly.
+	// Observe, when non-nil, receives every live call's classification
+	// while K > 1: reason "" for a config the lockstep walk serves,
+	// otherwise its sim.BatchFallbackReason label.
+	// Observer.ObserveBatchLane fits directly.
 	Observe func(cfg sim.Config, pt core.Pattern, reason string)
-
-	mu     sync.Mutex
-	groups map[string]*batchGroup
 }
 
-// NewBatcher returns a Batcher grouping up to k lanes per batch.
+// NewBatcher returns a Batcher for k lanes per batch.
 func NewBatcher(k int) *Batcher { return &Batcher{K: k} }
 
-type batchLane struct {
-	ctx  context.Context
-	cfg  sim.Config
-	res  sim.Result
-	err  error
-	done chan struct{}
-}
-
-type batchGroup struct {
-	pt    core.Pattern
-	lanes []*batchLane
-	timer *time.Timer
-}
-
-func (b *Batcher) window() time.Duration {
-	if b.Window > 0 {
-		return b.Window
+// RunSim implements experiments.SimRunner: it reports the call's
+// lockstep classification through Observe, unless batching is off or
+// ctx is already done, and forwards the call.
+func (b *Batcher) RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
+	if b.K > 1 && b.Observe != nil && ctx.Err() == nil {
+		b.Observe(cfg, pt, sim.BatchFallbackReason(cfg))
 	}
-	return defaultBatchWindow
-}
-
-// forward runs one lane without batching.
-func (b *Batcher) forward(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
 	if b.Next != nil {
 		return b.Next.RunSim(ctx, cfg, pt)
 	}
 	return sim.RunContext(ctx, cfg, pt)
-}
-
-// RunSim implements experiments.SimRunner. Eligible calls park in the
-// group for their pattern until K lanes have gathered (the K-th caller
-// becomes the leader and executes the batch inline) or the window timer
-// flushes a partial group. Ineligible calls — batching off, lockstep-
-// ineligible configs, already-cancelled contexts — forward untouched.
-func (b *Batcher) RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
-	if b.K <= 1 || ctx.Err() != nil {
-		return b.forward(ctx, cfg, pt)
-	}
-	if reason := sim.BatchFallbackReason(cfg); reason != "" {
-		if b.Observe != nil {
-			b.Observe(cfg, pt, reason)
-		}
-		return b.forward(ctx, cfg, pt)
-	}
-	if b.Observe != nil {
-		b.Observe(cfg, pt, "")
-	}
-
-	lane := &batchLane{ctx: ctx, cfg: cfg, done: make(chan struct{})}
-	key := patDigests.digestOf(pt)
-	b.mu.Lock()
-	if b.groups == nil {
-		b.groups = make(map[string]*batchGroup)
-	}
-	g := b.groups[key]
-	if g == nil {
-		g = &batchGroup{pt: pt}
-		b.groups[key] = g
-		g.timer = time.AfterFunc(b.window(), func() { b.flush(key, g) })
-	}
-	g.lanes = append(g.lanes, lane)
-	var run []*batchLane
-	if len(g.lanes) >= b.K {
-		run = b.takeLocked(key, g)
-	}
-	b.mu.Unlock()
-
-	if run != nil {
-		b.runBatch(run, g.pt)
-	}
-	<-lane.done
-	if lane.err != nil {
-		// The shared pass failed (typically the leader's context died).
-		// Re-run this lane alone under its own context: isolation means a
-		// sibling's fate never decides this lane's result or error.
-		return b.forward(ctx, cfg, pt)
-	}
-	return lane.res, nil
-}
-
-// takeLocked detaches g from the group table (stopping its timer) and
-// returns its lanes for execution. Caller holds b.mu.
-func (b *Batcher) takeLocked(key string, g *batchGroup) []*batchLane {
-	if b.groups[key] != g {
-		return nil // already flushed
-	}
-	delete(b.groups, key)
-	g.timer.Stop()
-	return g.lanes
-}
-
-// flush is the window-timer path: execute whatever lanes gathered.
-func (b *Batcher) flush(key string, g *batchGroup) {
-	b.mu.Lock()
-	run := b.takeLocked(key, g)
-	b.mu.Unlock()
-	if run != nil {
-		b.runBatch(run, g.pt)
-	}
-}
-
-// runBatch executes one gathered batch under the first lane's context
-// and distributes per-lane results. On error every lane is marked
-// failed; each waiter then falls back to a solo run under its own
-// context (see RunSim).
-func (b *Batcher) runBatch(lanes []*batchLane, pt core.Pattern) {
-	cfgs := make([]sim.Config, len(lanes))
-	for i, ln := range lanes {
-		cfgs[i] = ln.cfg
-	}
-	res, err := sim.RunBatch(lanes[0].ctx, cfgs, pt)
-	for i, ln := range lanes {
-		if err != nil {
-			ln.err = err
-		} else {
-			ln.res = res[i]
-		}
-		close(ln.done)
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dxbsp/internal/core"
 	"dxbsp/internal/experiments"
@@ -28,9 +27,8 @@ func batcherTestConfig(x int, d float64) sim.Config {
 	return sim.Config{Machine: core.Machine{Name: "bt", Procs: 8, Banks: 8 * x, D: d, G: 1, L: 2}}
 }
 
-// TestBatcherByteIdentical drives concurrent lanes through a Batcher —
-// more lanes than K, so full flushes and timer flushes both occur — and
-// pins every result to the scalar engine's.
+// TestBatcherByteIdentical drives concurrent calls through a Batcher and
+// pins every result to the event engine's.
 func TestBatcherByteIdentical(t *testing.T) {
 	pt := batcherTestPattern(4096)
 	b := NewBatcher(4)
@@ -55,19 +53,20 @@ func TestBatcherByteIdentical(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("lane %d: %v", i, errs[i])
 		}
-		want, err := sim.Run(cfg, pt)
+		want, err := sim.NewEngine().Run(context.Background(), cfg, pt)
 		if err != nil {
-			t.Fatalf("scalar %d: %v", i, err)
+			t.Fatalf("event engine %d: %v", i, err)
 		}
 		if got[i] != want {
-			t.Errorf("lane %d: batched %+v != scalar %+v", i, got[i], want)
+			t.Errorf("lane %d: batched %+v != event engine %+v", i, got[i], want)
 		}
 	}
 }
 
-// TestBatcherPassthrough pins that ineligible work never batches: K<=1,
-// lockstep-ineligible configs, and dead contexts all forward straight to
-// Next.
+// TestBatcherPassthrough pins that the Batcher forwards every call to
+// Next and classifies only live calls while K > 1: nothing at K <= 1 or
+// under a dead context, otherwise "" for an eligible config and the
+// fallback reason for an ineligible one.
 func TestBatcherPassthrough(t *testing.T) {
 	pt := batcherTestPattern(64)
 	var forwarded atomic.Int32
@@ -75,91 +74,37 @@ func TestBatcherPassthrough(t *testing.T) {
 		forwarded.Add(1)
 		return sim.RunContext(ctx, cfg, pt)
 	})
+	var reasons []string
+	observe := func(cfg sim.Config, pt core.Pattern, reason string) { reasons = append(reasons, reason) }
+	gpu := batcherTestConfig(2, 4)
+	gpu.Bank = sim.BankConfig{Discipline: sim.GPUShared}
 
-	b := &Batcher{K: 1, Next: next}
+	b := &Batcher{K: 1, Next: next, Observe: observe}
 	if _, err := b.RunSim(context.Background(), batcherTestConfig(2, 4), pt); err != nil {
 		t.Fatal(err)
 	}
 
-	b = &Batcher{K: 4, Next: next}
-	gpu := batcherTestConfig(2, 4)
-	gpu.Bank = sim.BankConfig{Discipline: sim.GPUShared}
-	if _, err := b.RunSim(context.Background(), gpu, pt); err != nil {
-		t.Fatal(err)
+	b.K = 4
+	for _, cfg := range []sim.Config{batcherTestConfig(2, 4), gpu} {
+		if _, err := b.RunSim(context.Background(), cfg, pt); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// A dead context forwards rather than parking in a group (the run
-	// itself is small enough to finish between cancellation polls, so the
-	// call is not required to error — only to bypass batching).
+	// A dead context still forwards (the run itself is small enough to
+	// finish between cancellation polls, so the call is not required to
+	// error) but is not classified.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := b.RunSim(dead, batcherTestConfig(2, 4), pt); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
 
-	if n := forwarded.Load(); n != 3 {
-		t.Fatalf("forwarded %d calls, want 3", n)
+	if n := forwarded.Load(); n != 4 {
+		t.Fatalf("forwarded %d calls, want 4", n)
 	}
-	if b.groups != nil && len(b.groups) != 0 {
-		t.Fatalf("passthrough calls left %d groups behind", len(b.groups))
-	}
-}
-
-// TestBatcherLaneFaultIsolation is the lane-isolation drill: lane A
-// joins a group and then its context is cancelled before the batch
-// runs, so the shared pass (executed under A's context — A is the first
-// lane) fails for everyone. A must surface its cancellation; sibling
-// lane B must still return a result byte-identical to the scalar
-// engine, via its per-lane fallback.
-func TestBatcherLaneFaultIsolation(t *testing.T) {
-	pt := batcherTestPattern(16384)
-	cfgA := batcherTestConfig(2, 6)
-	cfgB := batcherTestConfig(4, 10)
-
-	b := NewBatcher(2)
-	b.Window = time.Hour // only a full group flushes; no timer races
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-
-	var wg sync.WaitGroup
-	var errA error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, errA = b.RunSim(ctxA, cfgA, pt)
-	}()
-
-	// Wait until A has parked in the group, then kill its context: the
-	// batch B triggers will run under a dead leader context and fail.
-	for {
-		b.mu.Lock()
-		parked := false
-		for _, g := range b.groups {
-			parked = len(g.lanes) > 0
-		}
-		b.mu.Unlock()
-		if parked {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	cancelA()
-
-	resB, errB := b.RunSim(context.Background(), cfgB, pt)
-	wg.Wait()
-
-	if errA == nil || !errors.Is(errA, context.Canceled) {
-		t.Errorf("lane A: want context.Canceled, got %v", errA)
-	}
-	if errB != nil {
-		t.Fatalf("lane B: %v", errB)
-	}
-	want, err := sim.Run(cfgB, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB != want {
-		t.Errorf("lane B perturbed by sibling fault: %+v != %+v", resB, want)
+	if want := []string{"", "gpu-shared"}; strings.Join(reasons, ",") != strings.Join(want, ",") {
+		t.Fatalf("classified %q, want %q", reasons, want)
 	}
 }
 
@@ -172,7 +117,6 @@ func TestBatcherEfficacyCounters(t *testing.T) {
 	pt := batcherTestPattern(256)
 	o := NewObserver()
 	b := NewBatcher(2)
-	b.Window = time.Millisecond
 	b.Observe = o.ObserveBatchLane
 
 	fast1 := batcherTestConfig(2, 4)
@@ -211,33 +155,5 @@ func TestBatcherEfficacyCounters(t *testing.T) {
 	}
 	if strings.Contains(omExport(t, NewObserver()), "dxbsp_batch") {
 		t.Error("observer without batching exported batch series")
-	}
-}
-
-// TestBatcherTimerFlush pins that a lone lane — no siblings to fill the
-// group — completes via the window timer rather than hanging.
-func TestBatcherTimerFlush(t *testing.T) {
-	pt := batcherTestPattern(512)
-	b := NewBatcher(64)
-	b.Window = time.Millisecond
-	cfg := batcherTestConfig(2, 4)
-	done := make(chan struct{})
-	var res sim.Result
-	var err error
-	go func() {
-		res, err = b.RunSim(context.Background(), cfg, pt)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("lone lane never flushed")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := sim.Run(cfg, pt)
-	if res != want {
-		t.Errorf("timer-flushed lane: %+v != %+v", res, want)
 	}
 }

@@ -84,6 +84,10 @@ func TestProbesOffAllocBudget(t *testing.T) {
 		{"windowed", Config{Machine: m, Window: 8}},
 		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}}},
 		{"dram", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}},
+		// Tight windows stall at once, so these warm solo runs spend
+		// almost all their time in the lockstep replay and its tree.
+		{"windowed stall", Config{Machine: m, Window: 1}},
+		{"windowed dram stall", Config{Machine: m, Window: 2, Bank: BankConfig{Discipline: DRAM}}},
 	} {
 		// One warm-up run is included in AllocsPerRun's own averaging;
 		// rings and the event queue reach their high-water marks on the

@@ -38,8 +38,8 @@ import (
 // scalar engine inside the batch — still one call, still
 // byte-identical, just without the lockstep speedup.
 //
-// RunContext also runs every solo open-loop eligible config here, as a
-// one-lane batch (runSolo).
+// RunContext runs every solo eligible config here, as a one-lane batch
+// (runSolo), so the multi-lane Run has only test and benchmark callers.
 //
 // Like Engine, a BatchEngine is single-run at a time and retains every
 // arena across runs, so warm batches allocate nothing
@@ -142,13 +142,22 @@ type BatchEngine struct {
 	// lockstep resumes. The replay keeps no global event queue — each
 	// processor exposes at most one actionable candidate (its pending
 	// injection attempt, or, when blocked, the head of its private
-	// completion heap rComp[q]) and the main loop picks the scalar-order
-	// minimum with a linear scan (see runReplay).
+	// completion heap rComp[q]) and a tournament tree over the candidates
+	// yields the scalar-order minimum (see runReplay).
 	rNext  []int32
 	rNIA   []float64
 	rCandT []float64 // candidate time, +Inf when the proc has none
 	rCandA []int64   // candidate aux key: kind<<32 | seq
 	rComp  [][]compEv
+
+	// rTree is the replay's tournament tree over leaves = nextpow2(np)
+	// candidate slots, len(rTree) = 2*leaves: rTree[leaves+q] = q, and
+	// each internal node i holds the (time, kind, seq)-smaller of its
+	// children's candidates, so rTree[1] is the minimum. Slots q >= np
+	// are padding whose candidates stay idle sentinels. reset sizes the
+	// tree and fills the leaves and padding; runReplay builds the
+	// internal nodes.
+	rTree []int32
 
 	laneIdx  []int32 // fast lanes in order, rebuilt per reset
 	allPlain bool    // every fast lane is open-loop FIFO
@@ -260,10 +269,11 @@ func bankOf(kind mapKind, arg uint64, bm core.BankMap, addr uint64) int {
 // BatchEligible reports whether cfg takes the lockstep fast path inside
 // a BatchEngine: open- or closed-loop FIFO, Regulated, or ungrouped
 // single-row DRAM, with no combining, no section bottleneck and no
-// probe. Ineligible configs still run correctly in a batch (on the
-// embedded scalar engine), they just don't share the lockstep pass;
-// callers that group work (runner.Batcher) use this to batch only where
-// batching pays. Equivalent to BatchFallbackReason(cfg) == "".
+// probe. It is RunContext's routing rule: eligible configs run on the
+// one-lane lockstep walk, the rest on the event engine. Ineligible
+// configs still run correctly in a batch (on the embedded scalar
+// engine), they just don't share the lockstep pass. Equivalent to
+// BatchFallbackReason(cfg) == "".
 func BatchEligible(cfg Config) bool {
 	return BatchFallbackReason(cfg) == ""
 }
@@ -366,7 +376,7 @@ func (b *BatchEngine) Run(ctx context.Context, cfgs []Config, pt core.Pattern) (
 }
 
 // runSolo simulates pt under the single config cfg as a one-lane batch:
-// RunContext's path for solo open-loop lockstep-eligible configs. Its
+// RunContext's path for every solo lockstep-eligible config. Its
 // errors are Engine.Run's, without the lane prefix a batch adds.
 func (b *BatchEngine) runSolo(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
 	b.solo[0] = cfg
@@ -574,9 +584,21 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 
 	b.rNext = growSlice(b.rNext, np)
 	b.rNIA = growSlice(b.rNIA, np)
-	b.rCandT = growSlice(b.rCandT, np)
-	b.rCandA = growSlice(b.rCandA, np)
 	b.rComp = growNested(b.rComp, np)
+	leaves := 1
+	for leaves < np {
+		leaves <<= 1
+	}
+	b.rCandT = growSlice(b.rCandT, leaves)
+	b.rCandA = growSlice(b.rCandA, leaves)
+	b.rTree = growSlice(b.rTree, 2*leaves)
+	for q := 0; q < leaves; q++ {
+		b.rTree[leaves+q] = int32(q)
+		if q >= np {
+			b.rCandT[q] = math.Inf(1)
+			b.rCandA[q] = repAuxNone
+		}
+	}
 	return 0, nil
 }
 
@@ -1119,6 +1141,15 @@ func popPC(h []compEv) []compEv {
 	return h
 }
 
+// repWinner returns whichever of replay candidates x and y comes first
+// under the scalar (time, kind, seq) key.
+func repWinner(candT []float64, candA []int64, x, y int32) int32 {
+	if candT[y] < candT[x] || (candT[y] == candT[x] && candA[y] < candA[x]) {
+		return y
+	}
+	return x
+}
+
 // runReplay finishes lane li alone after its first window stall: the
 // processor p's injection attempt in round r found the window full, so
 // from here on the lane's injection times leave the shared grid and the
@@ -1132,8 +1163,10 @@ func popPC(h []compEv) []compEv {
 // Each processor therefore exposes at most one candidate: its pending
 // inject (kind 0, or 1 for a "late" re-inject, see below), or, when
 // blocked, the head of its private (time, seq) completion heap
-// (kind 4). The main loop picks the (time, kind, seq)-minimum candidate
-// with a linear scan, which reproduces the scalar queue's pop order
+// (kind 4). The main loop takes the (time, kind, seq)-minimum candidate
+// from the root of a tournament tree (rTree) and, after handling it,
+// replays only the changed candidate's leaf-to-root path, so each event
+// costs O(log p). That reproduces the scalar queue's pop order
 // exactly: a non-unblocking completion only shrinks its own processor's
 // in-flight window, which nothing reads until that processor's next
 // injection attempt — so it is drained lazily, from the completions
@@ -1233,35 +1266,22 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 		}
 	}
 
+	// Build the tournament's internal nodes bottom-up. Ties only arise
+	// between idle sentinels (live keys are distinct: every event has
+	// its own seq), so either child may win them.
+	tree := b.rTree
+	leaves := len(tree) / 2
+	for i := leaves - 1; i > 0; i-- {
+		tree[i] = repWinner(candT, candA, tree[2*i], tree[2*i+1])
+	}
+
 	seqc := b.seqCtr[li]
 	sincePoll := 0
-	needScan := true
-	best := -1
-	bt, bt2 := none, none
-	ba, ba2 := repAuxNone, repAuxNone
 	for {
-		if needScan {
-			// Linear argmin over the per-processor candidates under the
-			// scalar (time, kind, seq) key, tracking the runner-up. An
-			// idle processor's sentinel (+Inf, repAuxNone) loses every
-			// comparison, including against another sentinel, so an
-			// all-idle scan leaves best at -1.
-			needScan = false
-			best = -1
-			bt, ba = none, repAuxNone
-			bt2, ba2 = none, repAuxNone
-			for q := 0; q < np; q++ {
-				t, a := candT[q], candA[q]
-				if t < bt || (t == bt && a < ba) {
-					bt2, ba2 = bt, ba
-					best, bt, ba = q, t, a
-				} else if t < bt2 || (t == bt2 && a < ba2) {
-					bt2, ba2 = t, a
-				}
-			}
-			if best < 0 {
-				break
-			}
+		q := int(tree[1])
+		bt, ba := candT[q], candA[q]
+		if bt == none {
+			break // every processor is idle
 		}
 		sincePoll++
 		if sincePoll >= batchPollRequests {
@@ -1270,7 +1290,6 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 				return fmt.Errorf("sim: batch lane %d replay cancelled: %w", li, err)
 			}
 		}
-		q := best
 		if ba < repAuxComp {
 			// Injection. The window was checked and the heap drained when
 			// this candidate was created, so the inject just serves.
@@ -1335,14 +1354,9 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			candT[q] = t2
 			candA[q] = aux | int64(seqc)
 		}
-		// Only q's candidate changed. If it still beats the runner-up it
-		// is still the minimum, and the next iteration skips the scan —
-		// the common case in saturation, where an unblock, its re-inject
-		// and the following blocked attempt land back to back.
-		if t, a := candT[q], candA[q]; t < bt2 || (t == bt2 && a < ba2) {
-			bt, ba = t, a
-		} else {
-			needScan = true
+		// Only q's candidate changed: replay its leaf-to-root path.
+		for i := (leaves + q) >> 1; i > 0; i >>= 1 {
+			tree[i] = repWinner(candT, candA, tree[2*i], tree[2*i+1])
 		}
 	}
 	b.seqCtr[li] = seqc

@@ -13,10 +13,10 @@ import (
 // NetDelay), per-lane bank disciplines and ragged per-lane issue
 // windows, every lane of one batch run must equal — field for field —
 // the event engine's run of that lane alone (NewEngine().Run: Run itself
-// routes open-loop lanes through the lockstep walk under test). This covers the whole
-// lockstep regime (open- and closed-loop FIFO, ungrouped single-row
-// DRAM, Regulated — including lanes that window-stall into the per-lane
-// replay) and the embedded scalar fallback (grouped or multi-row DRAM,
+// routes eligible lanes through the lockstep walk under test). This
+// covers the whole lockstep regime (open- and closed-loop FIFO,
+// ungrouped single-row DRAM, Regulated — including lanes that
+// window-stall into the per-lane replay) and the embedded scalar fallback (grouped or multi-row DRAM,
 // GPUShared, row-buffered FIFO) in the same batch, over the same
 // address-pattern shapes FuzzSimVsReference draws.
 //
@@ -35,6 +35,8 @@ func FuzzBatchVsScalar(f *testing.F) {
 	f.Add(uint64(9), uint8(5), uint8(3), uint16(400), uint8(0))
 	f.Add(uint64(10), uint8(9), uint8(6), uint16(900), uint8(1))
 	f.Add(uint64(11), uint8(15), uint8(2), uint16(650), uint8(2))
+	f.Add(uint64(12), uint8(4), uint8(2), uint16(700), uint8(1)) // p = 3
+	f.Add(uint64(13), uint8(5), uint8(6), uint16(900), uint8(0)) // p = 7
 
 	f.Fuzz(func(t *testing.T, seed uint64, kRaw, pRaw uint8, nRaw uint16, shape uint8) {
 		k := int(kRaw%16) + 1

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func batchGoldenPattern() core.Pattern {
 // TestBatchMatchesScalarGolden128 is the golden differential: one
 // 128-lane batch across all four disciplines, every lane compared
 // field-for-field against the event engine run alone. The oracle is
-// NewEngine().Run, not Run: Run routes open-loop lanes through the
+// NewEngine().Run, not Run: Run routes eligible lanes through the
 // lockstep walk under test.
 func TestBatchMatchesScalarGolden128(t *testing.T) {
 	cfgs := batchGoldenConfigs()
@@ -279,12 +280,18 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestRunRoutesOnlyOpenLoopEligible pins RunContext's routing rule: the
-// open-loop lockstep-eligible disciplines take the one-lane walk, and
-// every windowed, probed or structurally ineligible config stays on the
-// event engine.
+// TestRunRoutesOnlyOpenLoopEligible pins RunContext's one routing rule,
+// BatchEligible(cfg), by the path that actually runs: under a context
+// cancelled up front the lockstep walk fails at its first poll with a
+// "batch cancelled" error and the event engine fails after its first
+// cancelCheckEvents events. Open- and closed-loop eligible configs take
+// the lockstep walk; probes, sections, combining, row caches, GPUShared,
+// DRAM bank groups and multi-row DRAM stay on the event engine.
 func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 	m := core.Machine{Name: "r", Procs: 4, Banks: 32, D: 4, G: 1, L: 2, Sections: 4, SectionGap: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pt := bigPattern()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -293,9 +300,11 @@ func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 		{"fifo", Config{Machine: m}, true},
 		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}}, true},
 		{"dram single row", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}, true},
-		{"fifo windowed", Config{Machine: m, Window: 2}, false},
-		{"regulated windowed", Config{Machine: m, Window: 2, Bank: BankConfig{Discipline: Regulated}}, false},
+		{"fifo windowed", Config{Machine: m, Window: 2}, true},
+		{"regulated windowed", Config{Machine: m, Window: 2, Bank: BankConfig{Discipline: Regulated}}, true},
+		{"dram windowed", Config{Machine: m, Window: 1, Bank: BankConfig{Discipline: DRAM, CacheLines: 1}}, true},
 		{"probe", Config{Machine: m, Probe: &countingProbe{}}, false},
+		{"windowed probe", Config{Machine: m, Window: 2, Probe: &countingProbe{}}, false},
 		{"sections", Config{Machine: m, UseSections: true}, false},
 		{"combining", Config{Machine: m, Combining: true}, false},
 		{"row cache", Config{Machine: m, Bank: BankConfig{CacheLines: 1}}, false},
@@ -303,8 +312,63 @@ func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 		{"dram groups", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 4}}, false},
 		{"dram multirow", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}, false},
 	} {
-		if got := lockstepSolo(tc.cfg); got != tc.want {
-			t.Errorf("%s: lockstepSolo = %t, want %t", tc.name, got, tc.want)
+		if got := BatchEligible(tc.cfg); got != tc.want {
+			t.Errorf("%s: BatchEligible = %t, want %t", tc.name, got, tc.want)
+		}
+		_, err := RunContext(ctx, tc.cfg, pt)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error %v does not wrap context.Canceled", tc.name, err)
+		}
+		if got := strings.Contains(err.Error(), "batch cancelled"); got != tc.want {
+			t.Errorf("%s: lockstep route = %t, want %t (error %q)", tc.name, got, tc.want, err)
+		}
+	}
+}
+
+// TestReplayTreeOddProcs holds the window-stall replay's tournament tree
+// to both oracles at processor counts that are not powers of two (the
+// tree pads them with idle leaves) and at the degenerate p = 1. Every
+// case is windowed tightly enough to stall, so Run detaches into the
+// replay; NetDelay 0 exercises the late re-inject, whose key sorts
+// between a same-instant inject and a completion.
+func TestReplayTreeOddProcs(t *testing.T) {
+	banks := []BankConfig{
+		{},
+		{Discipline: Regulated, RegWindow: 12, RegBudget: 2},
+		{Discipline: DRAM, CacheLines: 1, HitDelay: 2, MissDelay: 7, RowWords: 8},
+	}
+	for _, p := range []int{1, 3, 5, 63, 65, 513} {
+		rg := rng.New(uint64(p))
+		addrs := make([]uint64, 4*p+3)
+		for i := range addrs {
+			addrs[i] = rg.Uint64n(uint64(2 * p))
+		}
+		pt := core.NewPattern(addrs, p)
+		for _, bank := range banks {
+			for _, nd := range []float64{0, 3} {
+				cfg := Config{
+					Machine:  core.Machine{Name: "odd", Procs: p, Banks: 2 * p, D: 6, G: 1, L: 2 * nd},
+					NetDelay: nd,
+					Window:   1 + p%3,
+					Bank:     bank,
+				}
+				ref, err := RunReference(cfg, pt)
+				if err != nil {
+					t.Fatalf("p=%d %s nd=%g reference: %v", p, bank.Discipline, nd, err)
+				}
+				events, err := NewEngine().Run(context.Background(), cfg, pt)
+				if err != nil {
+					t.Fatalf("p=%d %s nd=%g event engine: %v", p, bank.Discipline, nd, err)
+				}
+				got, err := Run(cfg, pt)
+				if err != nil {
+					t.Fatalf("p=%d %s nd=%g Run: %v", p, bank.Discipline, nd, err)
+				}
+				if events != ref || got != ref {
+					t.Errorf("p=%d %s nd=%g:\n Run:          %+v\n event engine: %+v\n reference:    %+v",
+						p, bank.Discipline, nd, got, events, ref)
+				}
+			}
 		}
 	}
 }

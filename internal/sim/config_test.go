@@ -120,7 +120,7 @@ func TestRunRejectsNonFiniteDelays(t *testing.T) {
 }
 
 // Run must reject what Validate rejects, as a typed error. Run routes
-// open-loop lockstep-eligible configs to a one-lane batch and the rest to
+// lockstep-eligible configs to a one-lane batch and the rest to
 // the event engine; a solo caller must see the event engine's errors on
 // either path, never the batch's lane prefix.
 func TestRunReturnsConfigError(t *testing.T) {

@@ -53,10 +53,9 @@
 // Run simulates one superstep; RunSupersteps chains several with a barrier
 // between each. Both are thin wrappers over their context variants
 // (RunContext, RunSuperstepsContext), which add cooperative cancellation.
-// RunContext picks the path from the config alone: open-loop configs the
-// lockstep walk can serve (Window == 0 && BatchEligible) run as a one-lane
-// batch on a pooled BatchEngine, every other config on a pooled event
-// Engine. Both paths are byte-identical to the event engine and allocate
+// RunContext picks the path by one rule, BatchEligible(cfg): eligible
+// configs, open- or closed-loop, run as a one-lane batch on a pooled
+// BatchEngine, every other config on a pooled event Engine. Both paths are byte-identical to the event engine and allocate
 // nothing in the steady state.
 //
 // Engine is the event engine itself, whatever the config. Callers that

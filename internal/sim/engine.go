@@ -9,8 +9,8 @@ import (
 
 // Engine is the event-driven simulator: the wheel-scheduled event loop
 // every configuration can run on. The package-level Run and RunContext
-// pick the path per config — open-loop lockstep-eligible configs take
-// the BatchEngine's one-lane walk, everything else this engine — while
+// pick the path per config — lockstep-eligible configs take the
+// BatchEngine's one-lane walk, everything else this engine — while
 // Engine.Run always runs the event loop, so it stays the independent
 // oracle the lockstep paths are tested against.
 //

@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzSimVsReference is the differential property test behind the engine
-// rewrite: the event-driven engine, Run (which routes open-loop eligible
-// configs to the lockstep walk) and the independent per-clock
+// rewrite: the event-driven engine, Run (which routes lockstep-eligible
+// configs to the one-lane walk) and the independent per-clock
 // RunReference oracle must produce identical Results on randomized
 // machine shapes, every bank service discipline, windows, network
 // sections, combining, DRAM bank groups, dyadic fractional delays, and
@@ -41,6 +41,8 @@ func FuzzSimVsReference(f *testing.F) {
 	f.Add(uint64(14), uint8(5), uint8(2), uint8(40), uint8(7), uint8(37), uint16(600), uint8(7), uint8(3))    // Regulated, quarter delays
 	f.Add(uint64(15), uint8(3), uint8(1), uint8(99), uint8(21), uint8(50), uint16(800), uint8(13), uint8(77)) // everything, 1/16 grain
 	f.Add(uint64(16), uint8(3), uint8(0), uint8(3), uint8(0), uint8(0), uint16(500), uint8(1), uint8(4))      // GPUShared, NetDelay 0
+	f.Add(uint64(17), uint8(2), uint8(1), uint8(7), uint8(0), uint8(0), uint16(600), uint8(1), uint8(5))      // window, p = 3, NetDelay 0
+	f.Add(uint64(18), uint8(4), uint8(2), uint8(9), uint8(1), uint8(5), uint16(800), uint8(2), uint8(8))      // Regulated window, p = 5
 
 	f.Fuzz(func(t *testing.T, seed uint64, pRaw, xRaw, dRaw, gRaw, ndRaw uint8, nRaw uint16, shape, discRaw uint8) {
 		den := 1 << (int(shape/3) % 5)

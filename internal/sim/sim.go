@@ -157,19 +157,18 @@ var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 // waiting for it to finish. Polling reads no simulation state, so an
 // uncancelled RunContext produces cycle counts byte-identical to Run.
 //
-// RunContext picks the path from cfg alone. An open-loop config the
-// lockstep walk can serve (Window == 0 && BatchEligible(cfg)) runs as a
-// one-lane batch on a pooled BatchEngine; every other config — probes,
-// sections, combining, row caches, GPUShared, grouped or multi-row DRAM,
-// and every windowed config — runs on a pooled event Engine. Windowed
-// configs stay on the event engine because a one-lane batch would detach
-// them into the per-lane replay, whose per-event scan is linear in the
-// processor count (DESIGN.md §16). Both paths return results byte-identical to
-// Engine.Run, with the same configuration errors, and both re-arm
-// retained state in place, so the steady-state allocation cost of a run
-// is ~0 (TestProbesOffAllocBudget pins it).
+// RunContext picks the path by one rule, BatchEligible(cfg): an
+// eligible config — open- or closed-loop FIFO, Regulated, or ungrouped
+// single-row DRAM — runs as a one-lane batch on a pooled BatchEngine
+// (a windowed one detaches into the O(log p) replay at its first
+// stall), and every other config — probes, sections, combining, row
+// caches, GPUShared, grouped or multi-row DRAM — runs on a pooled event
+// Engine. Both paths return results byte-identical to Engine.Run, with
+// the same configuration errors, and both re-arm retained state in
+// place, so the steady-state allocation cost of a run is ~0
+// (TestProbesOffAllocBudget pins it).
 func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
-	if lockstepSolo(cfg) {
+	if BatchEligible(cfg) {
 		b := AcquireBatchEngine()
 		res, err := b.runSolo(ctx, cfg, pt)
 		ReleaseBatchEngine(b)
@@ -180,12 +179,6 @@ func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error
 	e.eng.release()
 	enginePool.Put(e)
 	return res, err
-}
-
-// lockstepSolo reports whether RunContext serves cfg on the one-lane
-// lockstep walk rather than the event engine.
-func lockstepSolo(cfg Config) bool {
-	return cfg.Window == 0 && BatchEligible(cfg)
 }
 
 // simulate drains the event queue and assembles the result.

@@ -221,95 +221,23 @@ func DefaultSweep() []SweepSpec {
 	return specs
 }
 
-// patternKey groups sweep specs whose Build produces identical address
-// patterns: the seeded families draw a fresh stream per spec, while the
-// seedless families (hot, all-same, strided) repeat their content
-// whenever the shape fields agree — those specs can share one lockstep
-// batch. Over-splitting is harmless (a one-lane batch is still exact),
-// so the key conservatively includes every field that can reach the
-// address generator.
-func (s SweepSpec) patternKey() string {
-	key := fmt.Sprintf("f%d n%d p%d b%d", s.Fam, s.N, s.Procs, s.Procs*s.X)
-	switch s.Fam {
-	case FamHot, FamAllSame, FamStrided:
-	default:
-		key += fmt.Sprintf(" s%x", s.Seed)
-	}
-	return key
-}
-
-// simOracle runs one validation point through the simulator, taking the
-// batched lockstep engine when the config is eligible — the same engine
-// production sweeps route through — and the scalar engine otherwise.
-// The two are byte-identical by the batch engine's contract, so
-// everything measured against this oracle is independent of the route.
-func simOracle(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
-	if sim.BatchEligible(cfg) {
-		res, err := sim.RunBatch(ctx, []sim.Config{cfg}, pt)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return res[0], nil
-	}
-	return sim.RunContext(ctx, cfg, pt)
-}
-
 // MeasureEnvelope runs the validation sweep through the simulator and
 // the surrogate and returns the per-regime error envelope. It is the
 // generator for the pinned testdata and the docs table, and the test
-// oracle that detects accuracy regressions.
-//
-// The simulator side goes through the batched lockstep engine: eligible
-// lanes group by shared pattern into sim.RunBatch calls, ineligible
-// configs take the scalar engine. Every batched lane is byte-identical
-// to its solo run, so the measured envelope — and the committed pin —
-// is bit-for-bit unchanged by the routing (TestEnvelopePin asserts
-// this against the raw testdata bytes).
+// oracle that detects accuracy regressions. Each point runs through
+// sim.RunContext, the path production sweeps take; errors accumulate in
+// spec order, so regime bucket order — and the summarized floats — are
+// deterministic (TestEnvelopePin asserts the raw testdata bytes).
 func MeasureEnvelope(specs []SweepSpec) (Envelope, error) {
 	ctx := context.Background()
-	cfgs := make([]sim.Config, len(specs))
-	pats := make([]core.Pattern, len(specs))
-	results := make([]sim.Result, len(specs))
-	groups := make(map[string][]int, len(specs))
-	order := make([]string, 0, len(specs))
-	for i, s := range specs {
-		cfgs[i], pats[i] = s.Build()
-		if !sim.BatchEligible(cfgs[i]) {
-			res, err := sim.RunContext(ctx, cfgs[i], pats[i])
-			if err != nil {
-				return Envelope{}, fmt.Errorf("sweep %+v: sim: %w", s, err)
-			}
-			results[i] = res
-			continue
-		}
-		k := s.patternKey()
-		if groups[k] == nil {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	for _, k := range order {
-		idx := groups[k]
-		lanes := make([]sim.Config, len(idx))
-		for j, i := range idx {
-			lanes[j] = cfgs[i]
-		}
-		batched, err := sim.RunBatch(ctx, lanes, pats[idx[0]])
-		if err != nil {
-			return Envelope{}, fmt.Errorf("sweep batch %s: sim: %w", k, err)
-		}
-		for j, i := range idx {
-			results[i] = batched[j]
-		}
-	}
-
-	// Errors accumulate in spec order, exactly as the per-spec scalar
-	// loop did, so regime bucket order — and the summarized floats — are
-	// unchanged by the batched execution above.
 	byRegime := map[string][]float64{}
-	for i, s := range specs {
-		res := results[i]
-		pred, err := Predict(cfgs[i], pats[i])
+	for _, s := range specs {
+		cfg, pt := s.Build()
+		res, err := sim.RunContext(ctx, cfg, pt)
+		if err != nil {
+			return Envelope{}, fmt.Errorf("sweep %+v: sim: %w", s, err)
+		}
+		pred, err := Predict(cfg, pt)
 		if err != nil {
 			return Envelope{}, fmt.Errorf("sweep %+v: surrogate: %w", s, err)
 		}
@@ -317,7 +245,7 @@ func MeasureEnvelope(specs []SweepSpec) (Envelope, error) {
 			return Envelope{}, fmt.Errorf("sweep %+v: zero-cycle simulation", s)
 		}
 		rel := math.Abs(pred.Cycles-res.Cycles) / res.Cycles
-		r := Regime(cfgs[i])
+		r := Regime(cfg)
 		byRegime[r] = append(byRegime[r], rel)
 	}
 	env := Envelope{Regimes: map[string]RegimeStats{}}

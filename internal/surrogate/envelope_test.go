@@ -54,10 +54,10 @@ func TestEnvelopePin(t *testing.T) {
 		t.Logf("re-pinned %d points across %d regimes", env.Points, len(env.Regimes))
 	}
 
-	// The batch-routed measurement must reproduce the committed pin file
-	// bit for bit: lockstep lanes are byte-identical to solo runs, so
-	// routing the sweep through sim.RunBatch changes nothing — not even
-	// the last ulp of a summarized float.
+	// The measurement must reproduce the committed pin file bit for bit:
+	// every simulator path is byte-identical to the event engine, so the
+	// route sim.RunContext picks changes nothing — not even the last ulp
+	// of a summarized float.
 	if !*update && !bytes.Equal(env.MarshalCanonical(), pinnedJSON) {
 		t.Errorf("measured envelope differs byte-for-byte from testdata/envelope.json")
 	}

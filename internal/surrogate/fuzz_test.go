@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dxbsp/internal/core"
+	"dxbsp/internal/sim"
 )
 
 // specFromFuzz maps raw fuzz bytes onto a valid SweepSpec: processor
@@ -161,10 +162,7 @@ func FuzzSurrogateVsSim(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pExp, xExp, d, g, l, window, fam uint8, reg bool, seed uint64) {
 		s := specFromFuzz(pExp, xExp, d, g, l, window, fam, reg, seed)
 		cfg, pt := s.Build()
-		// The oracle routes through the batched lockstep engine where
-		// eligible, like the calibration sweep — so the fuzz also
-		// differential-tests the batch path over the surrogate's domain.
-		res, err := simOracle(context.Background(), cfg, pt)
+		res, err := sim.RunContext(context.Background(), cfg, pt)
 		if err != nil {
 			t.Fatalf("%+v: sim: %v", s, err)
 		}
