@@ -185,7 +185,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 // --- Microbenchmarks of the load-bearing primitives -----------------------
 
 // BenchmarkSimScatter64K times sim.Run on the paper's open-loop scatter,
-// which Run serves on the one-lane lockstep walk.
+// which Run serves on the lockstep walk.
 func BenchmarkSimScatter64K(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
@@ -216,9 +216,10 @@ func BenchmarkSimScatter64KEvents(b *testing.B) {
 }
 
 // BenchmarkSimScatter64KWindowed exercises the closed-loop path: Run
-// serves it on the one-lane walk, which detaches into the window-stall
-// replay almost at once, a path the open-loop BenchmarkSimScatter64K
-// skips — regressions in either path stay visible.
+// serves it on the lockstep walk, which stops at the first window stall
+// almost at once and finishes in the replay, a path the open-loop
+// BenchmarkSimScatter64K skips — regressions in either path stay
+// visible.
 func BenchmarkSimScatter64KWindowed(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
@@ -566,80 +567,35 @@ func benchSweepExpansion(b *testing.B, ways int) {
 func BenchmarkSweepExpansion1Way(b *testing.B) { benchSweepExpansion(b, 1) }
 func BenchmarkSweepExpansion4Way(b *testing.B) { benchSweepExpansion(b, 4) }
 
-// --- Batched lockstep engine ----------------------------------------------
+// --- Lockstep expansion grid ---------------------------------------------
 
-// BenchmarkBatchExpansion is the headline number for the batch engine: the
-// F6-shaped expansion grid (x × d, all FIFO, so every lane takes the
-// lockstep fast path) run as one 16-lane batch per iteration on a held
-// engine. The timed region is batch passes only; the event engine
-// (sim.NewEngine().Run — sim.Run would route these open-loop configs to
-// the lockstep walk itself) runs the same configs once untimed to report
-// the speedup. Two custom metrics:
-// points/sec (batched simulation points per wall-clock second, single
-// goroutine — "per core") and xscalar (event-engine time per point /
-// batch time per point). CI gates xscalar >= 3.
-func BenchmarkBatchExpansion(b *testing.B) {
-	var cfgs []sim.Config
-	for _, x := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		for _, d := range []float64{6, 14} {
-			cfgs = append(cfgs, sim.Config{
-				Machine: core.Machine{Name: "bench", Procs: 8, Banks: 8 * x, D: d, G: 1, L: 4},
-			})
-		}
-	}
-	rg := rng.New(17)
-	addrs := make([]uint64, 1<<14)
-	for i := range addrs {
-		addrs[i] = rg.Uint64n(1 << 30)
-	}
-	pt := core.NewPattern(addrs, 8)
-	ctx := context.Background()
-
-	eng := sim.AcquireBatchEngine()
-	defer sim.ReleaseBatchEngine(eng)
-	if _, err := eng.Run(ctx, cfgs, pt); err != nil { // warm the arenas
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(ctx, cfgs, pt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	batchSec := time.Since(start).Seconds()
-	b.StopTimer()
-
-	scalarStart := time.Now()
-	scalar := sim.NewEngine()
-	for _, cfg := range cfgs {
-		if _, err := scalar.Run(ctx, cfg, pt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	scalarSec := time.Since(scalarStart).Seconds()
-
-	points := float64(len(cfgs)) * float64(b.N)
-	b.ReportMetric(points/batchSec, "points/sec")
-	scalarPerPoint := scalarSec / float64(len(cfgs))
-	b.ReportMetric(scalarPerPoint/(batchSec/points), "xscalar")
-}
+// BenchmarkBatchExpansion is the headline number for the lockstep walk:
+// the F6-shaped expansion grid (x × d, all FIFO, so every config takes
+// the lockstep walk) run through sim.Run, one config after another, per
+// iteration. The event engine (sim.NewEngine().Run — sim.Run routes
+// these configs to the lockstep walk itself) runs the same configs once
+// untimed to report the speedup. Two custom metrics: points/sec
+// (simulation points per wall-clock second, single goroutine — "per
+// core") and xscalar (event-engine time per point / sim.Run time per
+// point). CI gates xscalar >= 3.
+func BenchmarkBatchExpansion(b *testing.B) { benchExpansionGrid(b, 0) }
 
 // BenchmarkBatchExpansionWindowed is the headline number for windowed
-// lockstep batching: the same 16-lane expansion grid as
-// BenchmarkBatchExpansion but closed-loop (Window 8, the F2/F3-style
-// x-sweep shape), so every lane runs the windowed fast path — lockstep
-// until its window fills, then the per-lane replay. Metrics as above;
-// CI gates xscalar >= 2 (the replay is per-lane, so the shared-walk
-// share of the win is smaller than open loop's).
-func BenchmarkBatchExpansionWindowed(b *testing.B) {
+// lockstep runs: the same expansion grid as BenchmarkBatchExpansion but
+// closed-loop (Window 8, the F2/F3-style x-sweep shape), so every config
+// walks in lockstep until its window fills, then finishes in the
+// replay. Metrics as above; CI gates xscalar >= 2 (the replay does more
+// work per request than the walk, so the win is smaller than open
+// loop's).
+func BenchmarkBatchExpansionWindowed(b *testing.B) { benchExpansionGrid(b, 8) }
+
+func benchExpansionGrid(b *testing.B, window int) {
 	var cfgs []sim.Config
 	for _, x := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 		for _, d := range []float64{6, 14} {
 			cfgs = append(cfgs, sim.Config{
 				Machine: core.Machine{Name: "bench", Procs: 8, Banks: 8 * x, D: d, G: 1, L: 4},
-				Window:  8,
+				Window:  window,
 			})
 		}
 	}
@@ -651,20 +607,21 @@ func BenchmarkBatchExpansionWindowed(b *testing.B) {
 	pt := core.NewPattern(addrs, 8)
 	ctx := context.Background()
 
-	eng := sim.AcquireBatchEngine()
-	defer sim.ReleaseBatchEngine(eng)
-	if _, err := eng.Run(ctx, cfgs, pt); err != nil { // warm the arenas
-		b.Fatal(err)
+	pass := func() {
+		for _, cfg := range cfgs {
+			if _, err := sim.Run(cfg, pt); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	pass() // warm the pooled arenas
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(ctx, cfgs, pt); err != nil {
-			b.Fatal(err)
-		}
+		pass()
 	}
-	batchSec := time.Since(start).Seconds()
+	runSec := time.Since(start).Seconds()
 	b.StopTimer()
 
 	scalarStart := time.Now()
@@ -677,9 +634,9 @@ func BenchmarkBatchExpansionWindowed(b *testing.B) {
 	scalarSec := time.Since(scalarStart).Seconds()
 
 	points := float64(len(cfgs)) * float64(b.N)
-	b.ReportMetric(points/batchSec, "points/sec")
+	b.ReportMetric(points/runSec, "points/sec")
 	scalarPerPoint := scalarSec / float64(len(cfgs))
-	b.ReportMetric(scalarPerPoint/(batchSec/points), "xscalar")
+	b.ReportMetric(scalarPerPoint/(runSec/points), "xscalar")
 }
 
 // --- Surrogate-routed huge grid -------------------------------------------

@@ -20,7 +20,7 @@
 //
 // Custom benchmark metrics (testing.B.ReportMetric) are recorded in a
 // per-benchmark "metrics" map. Throughput metrics — any whose unit ends
-// in "/sec", like the batch engine's points/sec — join the regression
+// in "/sec", like the expansion grid's points/sec — join the regression
 // gate with the sign flipped: higher is better, so head falling below
 // base by more than threshold percent fails the compare.
 //

@@ -11,7 +11,7 @@ import (
 // Batcher is the SimRunner middleware behind dxbench -batch. It slots
 // below the cache and the fault injector — cache → faults → Batcher →
 // sim — and forwards every call unchanged. sim.RunContext already runs
-// each lockstep-eligible config on the one-lane lockstep walk, so the
+// each lockstep-eligible config on the lockstep walk, so the
 // Batcher groups nothing: it only classifies each call for the
 // batch-efficacy metrics (DESIGN.md §14). Output bytes therefore cannot
 // depend on K or on worker count.

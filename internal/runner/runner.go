@@ -45,7 +45,9 @@ type Runner struct {
 	// Events, when non-nil, receives a JSON event per lifecycle step.
 	Events *EventLog
 	// Progress, when non-nil, receives human-readable one-line updates as
-	// points complete (typically stderr, so stdout stays parseable).
+	// points complete (typically stderr, so stdout stays parseable). The
+	// workers write one line at a time, so it need not be safe for
+	// concurrent use.
 	Progress io.Writer
 	// Metrics, when non-nil, collects telemetry: it is attached as a
 	// sim.Probe to every simulation issued through the experiment config
@@ -263,17 +265,17 @@ func (r *Runner) RunExperiment(ctx context.Context, e experiments.Experiment, cf
 					r.Events.emit(Event{Type: "point_done", Experiment: e.ID, Point: p.Label, Index: &idx,
 						DurationMS: float64(d) / float64(time.Millisecond)})
 				}
+				// Progress lines are written under mu, in done order.
 				mu.Lock()
 				done++
-				n := done
-				mu.Unlock()
 				if r.Progress != nil {
 					status := ""
 					if perr != nil {
 						status = " FAILED"
 					}
-					fmt.Fprintf(r.Progress, "[%s] %d/%d %s%s\n", e.ID, n, len(pts), p.Label, status)
+					fmt.Fprintf(r.Progress, "[%s] %d/%d %s%s\n", e.ID, done, len(pts), p.Label, status)
 				}
+				mu.Unlock()
 			}
 			mu.Lock()
 			busy += localBusy

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +57,32 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 				t.Errorf("uncached output differs from serial")
 			}
 		})
+	}
+}
+
+// TestRunExperimentProgress runs F2 on eight workers with a plain
+// bytes.Buffer as the progress writer: the workers must serialize their
+// writes (the race detector catches them if they do not), and the lines
+// must count 1..n in order, one per point.
+func TestRunExperimentProgress(t *testing.T) {
+	e, ok := experiments.Lookup("F2")
+	if !ok {
+		t.Fatal("F2 not registered")
+	}
+	var buf bytes.Buffer
+	r := &Runner{Parallel: 8, Cache: NewCache(), Progress: &buf}
+	res, err := r.RunExperiment(context.Background(), e, experiments.QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != res.Stats.Points {
+		t.Fatalf("%d progress lines for %d points:\n%s", len(lines), res.Stats.Points, buf.String())
+	}
+	for i, line := range lines {
+		if want := fmt.Sprintf("[F2] %d/%d ", i+1, res.Stats.Points); !strings.HasPrefix(line, want) {
+			t.Errorf("line %d = %q, want prefix %q", i, line, want)
+		}
 	}
 }
 

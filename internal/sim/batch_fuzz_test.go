@@ -8,21 +8,21 @@ import (
 	"dxbsp/internal/rng"
 )
 
-// FuzzBatchVsScalar is the batch engine's differential property test:
-// for a randomized lane count, per-lane machine shapes (d, x, g,
-// NetDelay), per-lane bank disciplines and ragged per-lane issue
-// windows, every lane of one batch run must equal — field for field —
-// the event engine's run of that lane alone (NewEngine().Run: Run itself
-// routes eligible lanes through the lockstep walk under test). This
-// covers the whole lockstep regime (open- and closed-loop FIFO,
-// ungrouped single-row DRAM, Regulated — including lanes that
-// window-stall into the per-lane replay) and the embedded scalar fallback (grouped or multi-row DRAM,
-// GPUShared, row-buffered FIFO) in the same batch, over the same
-// address-pattern shapes FuzzSimVsReference draws.
+// FuzzBatchVsScalar is the lockstep walk's differential property test:
+// for a randomized config count, per-config machine shapes (d, x, g,
+// NetDelay), bank disciplines and issue windows, Run of every config
+// must equal — field for field — the event engine's run of it
+// (NewEngine().Run: Run itself routes eligible configs through the
+// lockstep walk under test). This covers the whole lockstep regime
+// (open- and closed-loop FIFO, ungrouped single-row DRAM, Regulated —
+// including runs that window-stall into the replay) and the configs
+// only the event engine serves (grouped or multi-row DRAM, GPUShared,
+// row-buffered FIFO), over the same address-pattern shapes
+// FuzzSimVsReference draws.
 //
 // Under `go test` the seed corpus runs as a regression suite; under
 // `go test -fuzz FuzzBatchVsScalar ./internal/sim/` the mutator explores
-// the (K, p, lane params, discipline mix, window mix, pattern) space.
+// the (K, p, config params, discipline mix, window mix, pattern) space.
 func FuzzBatchVsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(3), uint16(200), uint8(0))
 	f.Add(uint64(2), uint8(4), uint8(0), uint16(64), uint8(1))
@@ -52,14 +52,14 @@ func FuzzBatchVsScalar(f *testing.F) {
 			nd := float64(rg.Intn(16))
 			var bank BankConfig
 			switch rg.Intn(7) {
-			case 0, 1: // the paper's FIFO bank — the lockstep fast path
-			case 2: // FIFO with row buffers: scalar fallback
+			case 0, 1: // the paper's FIFO bank — the lockstep walk
+			case 2: // FIFO with row buffers: event engine only
 				bank = BankConfig{
 					CacheLines: 1 + rg.Intn(4),
 					HitDelay:   float64(1 + rg.Intn(3)),
 					RowWords:   1 << rg.Intn(7),
 				}
-			case 3: // row-buffer DRAM with bank groups: scalar fallback
+			case 3: // row-buffer DRAM with bank groups: event engine only
 				groups := 1 + rg.Intn(4)
 				if groups > banks {
 					groups = banks
@@ -87,15 +87,15 @@ func FuzzBatchVsScalar(f *testing.F) {
 					RegWindow:  float64(1 + rg.Intn(32)),
 					RegBudget:  1 + rg.Intn(4),
 				}
-			case 6: // GPU shared memory: scalar fallback
+			case 6: // GPU shared memory: event engine only
 				bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + rg.Intn(32)}
 				if nd < 1 {
 					nd = 1
 				}
 			}
-			// Ragged issue windows: roughly two thirds of the non-GPU lanes
-			// run closed-loop, each with its own window — tight windows
-			// stall into the per-lane replay almost immediately.
+			// Issue windows: roughly two thirds of the non-GPU configs run
+			// closed-loop, each with its own window — tight windows stall
+			// into the replay almost immediately.
 			window := 0
 			if bank.Discipline != GPUShared && rg.Intn(3) > 0 {
 				window = 1 + rg.Intn(12)
@@ -127,19 +127,19 @@ func FuzzBatchVsScalar(f *testing.F) {
 		}
 		pt := core.NewPattern(addrs, p)
 
-		got, err := RunBatch(context.Background(), cfgs, pt)
-		if err != nil {
-			t.Fatalf("RunBatch: %v", err)
-		}
 		for i, cfg := range cfgs {
+			got, err := Run(cfg, pt)
+			if err != nil {
+				t.Fatalf("config %d Run: %v", i, err)
+			}
 			want, err := NewEngine().Run(context.Background(), cfg, pt)
 			if err != nil {
-				t.Fatalf("lane %d scalar: %v", i, err)
+				t.Fatalf("config %d event engine: %v", i, err)
 			}
-			if got[i] != want {
-				t.Errorf("lane %d/%d (disc=%s banks=%d d=%g g=%g nd=%g fast=%t): batch %+v != scalar %+v",
+			if got != want {
+				t.Errorf("config %d/%d (disc=%s banks=%d d=%g g=%g nd=%g lockstep=%t): Run %+v != event engine %+v",
 					i, k, cfg.Bank.Discipline, cfg.Machine.Banks, cfg.Machine.D, cfg.Machine.G,
-					cfg.NetDelay, BatchEligible(cfg), got[i], want)
+					cfg.NetDelay, BatchEligible(cfg), got, want)
 			}
 		}
 	})

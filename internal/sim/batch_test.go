@@ -12,11 +12,11 @@ import (
 
 // batchGoldenConfigs builds the 128-config golden grid: eight
 // discipline/window variants × expansion x ∈ {1,8} × d ∈ {2,6,14,30} ×
-// g ∈ {1,2}, the lane axes the batch engine varies crossed with every
-// lockstep class — open- and closed-loop FIFO (including a Window=1
-// lane that stalls almost immediately), eligible and ineligible DRAM,
-// windowed Regulated — plus the structural scalar fallbacks (multi-row
-// DRAM, GPUShared), with ragged windows across the batch.
+// g ∈ {1,2}, the axes a sweep varies, crossed with every
+// lockstep class — open- and closed-loop FIFO (including Window=1,
+// which stalls almost immediately), eligible and ineligible DRAM,
+// windowed Regulated — plus the configs only the event engine serves
+// (multi-row DRAM, GPUShared).
 func batchGoldenConfigs() []Config {
 	variants := []struct {
 		bank   BankConfig
@@ -57,10 +57,10 @@ func batchGoldenPattern() core.Pattern {
 	return core.NewPattern(addrs, 8)
 }
 
-// TestBatchMatchesScalarGolden128 is the golden differential: one
-// 128-lane batch across all four disciplines, every lane compared
-// field-for-field against the event engine run alone. The oracle is
-// NewEngine().Run, not Run: Run routes eligible lanes through the
+// TestBatchMatchesScalarGolden128 is the golden differential: all 128
+// configs across all four disciplines, each run through Run and
+// compared field-for-field against the event engine. The oracle is
+// NewEngine().Run, not Run: Run routes eligible configs through the
 // lockstep walk under test.
 func TestBatchMatchesScalarGolden128(t *testing.T) {
 	cfgs := batchGoldenConfigs()
@@ -68,36 +68,33 @@ func TestBatchMatchesScalarGolden128(t *testing.T) {
 		t.Fatalf("golden grid has %d configs, want 128", len(cfgs))
 	}
 	pt := batchGoldenPattern()
-	got, err := RunBatch(context.Background(), cfgs, pt)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	if len(got) != len(cfgs) {
-		t.Fatalf("RunBatch returned %d results for %d lanes", len(got), len(cfgs))
-	}
 	fast := 0
 	for i, cfg := range cfgs {
 		if BatchEligible(cfg) {
 			fast++
 		}
+		got, err := Run(cfg, pt)
+		if err != nil {
+			t.Fatalf("config %d Run: %v", i, err)
+		}
 		want, err := NewEngine().Run(context.Background(), cfg, pt)
 		if err != nil {
-			t.Fatalf("lane %d scalar: %v", i, err)
+			t.Fatalf("config %d event engine: %v", i, err)
 		}
-		if got[i] != want {
-			t.Errorf("lane %d (disc=%s x=%d d=%g g=%g): batch %+v != scalar %+v",
-				i, cfg.Bank.Discipline, cfg.Machine.Banks/8, cfg.Machine.D, cfg.Machine.G, got[i], want)
+		if got != want {
+			t.Errorf("config %d (disc=%s x=%d d=%g g=%g): Run %+v != event engine %+v",
+				i, cfg.Bank.Discipline, cfg.Machine.Banks/8, cfg.Machine.D, cfg.Machine.G, got, want)
 		}
 	}
 	if fast != 96 {
-		t.Fatalf("golden grid has %d fast-path lanes, want 96 (six of the eight variants)", fast)
+		t.Fatalf("golden grid has %d lockstep configs, want 96 (six of the eight variants)", fast)
 	}
 }
 
 // TestBatchMatchesScalarCustomMapAndShapes covers what the golden grid
 // does not: non-power-of-two bank counts (the modulo map paths), a
 // custom BankMap (the mapGeneric interface fallback), ragged and empty
-// processor streams, NetDelay = 0, and a single-lane batch.
+// processor streams, and NetDelay = 0.
 func TestBatchMatchesScalarCustomMapAndShapes(t *testing.T) {
 	pt := core.Pattern{PerProc: [][]uint64{
 		{0, 3, 6, 9, 12, 15, 18, 21},
@@ -112,20 +109,20 @@ func TestBatchMatchesScalarCustomMapAndShapes(t *testing.T) {
 			BankMap: xorMap{banks: 9}},
 		{Machine: core.Machine{Name: "one", Procs: 5, Banks: 16, D: 2, G: 1, L: 0}},
 	}
-	got, err := RunBatch(context.Background(), cfgs, pt)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
 	for i, cfg := range cfgs {
 		if !BatchEligible(cfg) {
-			t.Fatalf("lane %d unexpectedly ineligible", i)
+			t.Fatalf("config %d unexpectedly ineligible", i)
+		}
+		got, err := Run(cfg, pt)
+		if err != nil {
+			t.Fatalf("config %d Run: %v", i, err)
 		}
 		want, err := NewEngine().Run(context.Background(), cfg, pt)
 		if err != nil {
-			t.Fatalf("lane %d scalar: %v", i, err)
+			t.Fatalf("config %d event engine: %v", i, err)
 		}
-		if got[i] != want {
-			t.Errorf("lane %d: batch %+v != scalar %+v", i, got[i], want)
+		if got != want {
+			t.Errorf("config %d: Run %+v != event engine %+v", i, got, want)
 		}
 	}
 }
@@ -137,69 +134,13 @@ type xorMap struct{ banks int }
 func (m xorMap) Bank(addr uint64) int { return int((addr ^ addr>>3) % uint64(m.banks)) }
 func (m xorMap) NumBanks() int        { return m.banks }
 
-// TestBatchLaneIsolation pins that lanes do not interact: the results of
-// a batch's lanes are unchanged when a sibling lane is replaced with a
-// completely different configuration, and an invalid lane fails the
-// whole batch up front (all-or-nothing) while naming the lane.
-func TestBatchLaneIsolation(t *testing.T) {
-	pt := batchGoldenPattern()
-	base := []Config{
-		{Machine: core.Machine{Name: "a", Procs: 8, Banks: 16, D: 4, G: 1, L: 2}},
-		{Machine: core.Machine{Name: "b", Procs: 8, Banks: 32, D: 8, G: 1, L: 2}},
-		{Machine: core.Machine{Name: "c", Procs: 8, Banks: 64, D: 2, G: 2, L: 2}},
-		{Machine: core.Machine{Name: "d", Procs: 8, Banks: 8, D: 30, G: 1, L: 2}},
-	}
-	before, err := RunBatch(context.Background(), base, pt)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-
-	// Replace lane 1 with a wildly different config (different banks, a
-	// scalar-fallback discipline); siblings must be bit-identical.
-	mutated := append([]Config(nil), base...)
-	mutated[1] = Config{
-		Machine: core.Machine{Name: "x", Procs: 8, Banks: 8, D: 50, G: 1, L: 16},
-		Bank:    BankConfig{Discipline: GPUShared, WarpSize: 4},
-	}
-	after, err := RunBatch(context.Background(), mutated, pt)
-	if err != nil {
-		t.Fatalf("RunBatch mutated: %v", err)
-	}
-	for _, i := range []int{0, 2, 3} {
-		if before[i] != after[i] {
-			t.Errorf("lane %d perturbed by sibling change: %+v vs %+v", i, before[i], after[i])
-		}
-	}
-
-	// An invalid lane rejects the whole batch and names the lane.
-	bad := append([]Config(nil), base...)
-	bad[2].Window = -1
-	if _, err := RunBatch(context.Background(), bad, pt); err == nil {
-		t.Fatal("invalid lane accepted")
-	} else if !strings.Contains(err.Error(), "lane 2") {
-		t.Errorf("error does not name the offending lane: %v", err)
-	}
-}
-
-// TestBatchCancellation pins that a cancelled context interrupts a batch
-// mid-flight through the lockstep poll.
-func TestBatchCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfgs := []Config{
-		{Machine: core.Machine{Name: "a", Procs: 8, Banks: 16, D: 4, G: 1, L: 2}},
-		{Machine: core.Machine{Name: "b", Procs: 8, Banks: 32, D: 8, G: 1, L: 2}},
-	}
-	if _, err := RunBatch(ctx, cfgs, batchGoldenPattern()); err == nil {
-		t.Fatal("cancelled batch returned no error")
-	}
-}
-
-// TestBatchEngineReuseZeroAllocs pins the pooling contract: once an
-// engine has seen a shape, re-running batches — including shrinking the
-// lane count, growing it back, and lanes whose disciplines force the
-// embedded scalar engine through per-lane discipline changes — allocates
-// nothing.
+// TestBatchEngineReuseZeroAllocs pins the pooling contract: once a
+// lockstep engine has seen a shape, re-running configs on it — bank
+// counts shrinking and growing, discipline changes, and processor
+// counts shrinking and growing under the windowed runs — allocates
+// nothing. The GPUShared config is not lockstep-eligible; it runs on a
+// held event engine in the same cycle, flipping that engine's
+// discipline too.
 func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -209,7 +150,7 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = rg.Uint64n(1 << 30)
 	}
-	pt := core.NewPattern(addrs, 8)
+	pt8, pt3 := core.NewPattern(addrs, 8), core.NewPattern(addrs[:1000], 3)
 
 	mk := func(banks int, d float64, bank BankConfig) Config {
 		return Config{Machine: core.Machine{Name: "z", Procs: 8, Banks: banks, D: d, G: 1, L: 2}, Bank: bank}
@@ -219,15 +160,10 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		c.Window = window
 		return c
 	}
-	// Three shapes cycled per run: full mixed batch, a shrunk all-FIFO
-	// prefix, and the full batch again (grow). Lane slots keep a stable
-	// discipline so the per-slot default-map caches stay warm, while the
-	// embedded scalar engine flips FIFO→DRAM→Regulated→GPU within every
-	// full batch — the discipline-change reset path. The windowed lanes
-	// (tight FIFO and DRAM windows that stall into the per-lane replay,
-	// a windowed Regulated lane) pin the closed-loop arenas — completion
-	// heaps, dequeue rings, replay scratch — as retained too.
-	full := []Config{
+	// The windowed configs (tight FIFO and DRAM windows that stall into
+	// the replay, a windowed Regulated one) pin the closed-loop arenas —
+	// completion heaps, dequeue rings, replay scratch — as retained too.
+	cfgs := []Config{
 		mk(16, 2, BankConfig{}),
 		mk(32, 6, BankConfig{}),
 		mk(64, 14, BankConfig{}),
@@ -240,43 +176,106 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		mkw(8, 12, 1, BankConfig{Discipline: DRAM, CacheLines: 1, HitDelay: 1, MissDelay: 12}),
 		mkw(16, 4, 3, BankConfig{Discipline: Regulated, RegWindow: 16, RegBudget: 2}),
 	}
-	shrunk := full[:4]
 
-	b := NewBatchEngine()
+	ls, ev := new(lockstep), NewEngine()
 	ctx := context.Background()
-	run := func(cfgs []Config) {
-		if _, err := b.Run(ctx, cfgs, pt); err != nil {
-			t.Fatalf("Run: %v", err)
+	run := func(pt core.Pattern) {
+		for _, cfg := range cfgs {
+			var err error
+			if BatchEligible(cfg) {
+				_, err = ls.run(ctx, cfg, pt)
+			} else {
+				_, err = ev.Run(ctx, cfg, pt)
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
 		}
 	}
-	run(full) // warm every arena
-	run(shrunk)
-	run(full)
+	run(pt8) // warm every arena
+	run(pt3)
 
 	allocs := testing.AllocsPerRun(5, func() {
-		run(full)
-		run(shrunk)
-		run(full)
+		run(pt8)
+		run(pt3)
+		run(pt8)
 	})
 	if allocs != 0 {
-		t.Errorf("warm batch cycle allocated %.1f times, want 0", allocs)
+		t.Errorf("warm cycle allocated %.1f times, want 0", allocs)
 	}
 }
 
-// TestRunBatchEmpty covers the degenerate shapes: zero lanes and a
-// zero-request pattern.
+// TestRunBatchEmpty covers a zero-request pattern on both lockstep
+// loops (runPlain and runMixed).
 func TestRunBatchEmpty(t *testing.T) {
-	res, err := RunBatch(context.Background(), nil, batchGoldenPattern())
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty batch: %v, %d results", err, len(res))
+	m := core.Machine{Name: "e", Procs: 4, Banks: 8, D: 2, G: 1, L: 0}
+	pt := core.Pattern{PerProc: [][]uint64{{}, {}}}
+	for _, cfg := range []Config{
+		{Machine: m},
+		{Machine: m, Window: 2, Bank: BankConfig{Discipline: Regulated}},
+	} {
+		res, err := Run(cfg, pt)
+		if err != nil {
+			t.Fatalf("empty pattern: %v", err)
+		}
+		if res.Cycles != 0 || res.Requests != 0 {
+			t.Errorf("empty pattern result: %+v", res)
+		}
 	}
-	cfg := Config{Machine: core.Machine{Name: "e", Procs: 4, Banks: 8, D: 2, G: 1, L: 0}}
-	res, err = RunBatch(context.Background(), []Config{cfg}, core.Pattern{PerProc: [][]uint64{{}, {}}})
-	if err != nil {
-		t.Fatalf("empty pattern: %v", err)
+}
+
+// TestWideWindowMatchesOpenLoop holds the closed-loop walk to the
+// open-loop one: with Window at least the longest per-processor stream
+// no processor ever blocks, so Run and the event engine must return
+// exactly the open-loop Result. For FIFO that compares runMixed's
+// closed-loop path with runPlain, two copies of the same service logic
+// that no other test compares directly.
+func TestWideWindowMatchesOpenLoop(t *testing.T) {
+	banks := []BankConfig{
+		{},
+		{Discipline: Regulated, RegWindow: 12, RegBudget: 2},
+		{Discipline: DRAM, CacheLines: 1, HitDelay: 2, MissDelay: 7, RowWords: 8},
 	}
-	if res[0].Cycles != 0 || res[0].Requests != 0 {
-		t.Errorf("empty pattern result: %+v", res[0])
+	for _, p := range []int{1, 3, 8, 64} {
+		rg := rng.New(uint64(p) + 40)
+		addrs := make([]uint64, 37*p+2)
+		for i := range addrs {
+			addrs[i] = rg.Uint64n(uint64(4 * p))
+		}
+		pt := core.NewPattern(addrs, p)
+		longest := 0
+		for _, s := range pt.PerProc {
+			longest = max(longest, len(s))
+		}
+		for _, bank := range banks {
+			for _, nd := range []float64{0, 3} {
+				open := Config{
+					Machine:  core.Machine{Name: "wide", Procs: p, Banks: 2 * p, D: 6, G: 1, L: 2 * nd},
+					NetDelay: nd,
+					Bank:     bank,
+				}
+				want, err := Run(open, pt)
+				if err != nil {
+					t.Fatalf("p=%d %s nd=%g open loop: %v", p, bank.Discipline, nd, err)
+				}
+				for _, w := range []int{longest, longest + 5} {
+					wide := open
+					wide.Window = w
+					got, err := Run(wide, pt)
+					if err != nil {
+						t.Fatalf("p=%d %s nd=%g window %d Run: %v", p, bank.Discipline, nd, w, err)
+					}
+					events, err := NewEngine().Run(context.Background(), wide, pt)
+					if err != nil {
+						t.Fatalf("p=%d %s nd=%g window %d event engine: %v", p, bank.Discipline, nd, w, err)
+					}
+					if got != want || events != want {
+						t.Errorf("p=%d %s nd=%g window %d:\n Run:          %+v\n event engine: %+v\n open loop:    %+v",
+							p, bank.Discipline, nd, w, got, events, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -328,7 +327,7 @@ func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 // TestReplayTreeOddProcs holds the window-stall replay's tournament tree
 // to both oracles at processor counts that are not powers of two (the
 // tree pads them with idle leaves) and at the degenerate p = 1. Every
-// case is windowed tightly enough to stall, so Run detaches into the
+// case is windowed tightly enough to stall, so Run finishes in the
 // replay; NetDelay 0 exercises the late re-inject, whose key sorts
 // between a same-instant inject and a completion.
 func TestReplayTreeOddProcs(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,20 +77,24 @@ func TestRunContextSmallPattern(t *testing.T) {
 	}
 }
 
-// A batch polls its context before the first lockstep round, so even one
-// too short to reach a mid-run poll (here 2 lanes × 1024 requests, under
-// batchPollRequests lane-requests) honors a context cancelled up front.
+// The lockstep walk polls its context before the first round, so a run
+// too short to reach a mid-run poll (1024 requests, under
+// batchPollRequests) honors a context cancelled up front — on runPlain
+// (open-loop FIFO) and on runMixed (Regulated) alike.
 func TestRunBatchCancelledShort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := testMachine()
-	cfgs := []Config{{Machine: m}, {Machine: m, Bank: BankConfig{Discipline: Regulated}}}
 	pt := core.NewPattern(seqAddrs(1024), 4)
-	if 2*pt.N() > batchPollRequests {
+	if pt.N() >= batchPollRequests {
 		t.Fatalf("pattern of %d requests is not short", pt.N())
 	}
-	_, err := RunBatch(ctx, cfgs, pt)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
+	for _, cfg := range []Config{{Machine: m}, {Machine: m, Bank: BankConfig{Discipline: Regulated}}} {
+		_, err := RunContext(ctx, cfg, pt)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v does not wrap context.Canceled", cfg.Bank.Discipline, err)
+		} else if !strings.Contains(err.Error(), "batch cancelled") {
+			t.Errorf("%s: error %q is not the lockstep walk's", cfg.Bank.Discipline, err)
+		}
 	}
 }

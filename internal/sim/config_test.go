@@ -120,9 +120,9 @@ func TestRunRejectsNonFiniteDelays(t *testing.T) {
 }
 
 // Run must reject what Validate rejects, as a typed error. Run routes
-// lockstep-eligible configs to a one-lane batch and the rest to
-// the event engine; a solo caller must see the event engine's errors on
-// either path, never the batch's lane prefix.
+// lockstep-eligible configs to the lockstep walk and the rest to the
+// event engine; a caller must see the event engine's errors on either
+// path.
 func TestRunReturnsConfigError(t *testing.T) {
 	m := core.Machine{Name: "n", Procs: 4, Banks: 32, D: 4, G: 1, L: 10}
 	pt := core.NewPattern(seqAddrs(8), 2)

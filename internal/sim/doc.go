@@ -54,9 +54,9 @@
 // between each. Both are thin wrappers over their context variants
 // (RunContext, RunSuperstepsContext), which add cooperative cancellation.
 // RunContext picks the path by one rule, BatchEligible(cfg): eligible
-// configs, open- or closed-loop, run as a one-lane batch on a pooled
-// BatchEngine, every other config on a pooled event Engine. Both paths are byte-identical to the event engine and allocate
-// nothing in the steady state.
+// configs, open- or closed-loop, run on a pooled lockstep walk, every
+// other config on a pooled event Engine. Both paths are byte-identical
+// to the event engine and allocate nothing in the steady state.
 //
 // Engine is the event engine itself, whatever the config. Callers that
 // manage their own reuse — a benchmark harness, a worker pool with

@@ -10,9 +10,9 @@ import (
 // Engine is the event-driven simulator: the wheel-scheduled event loop
 // every configuration can run on. The package-level Run and RunContext
 // pick the path per config — lockstep-eligible configs take the
-// BatchEngine's one-lane walk, everything else this engine — while
-// Engine.Run always runs the event loop, so it stays the independent
-// oracle the lockstep paths are tested against.
+// lockstep walk, everything else this engine — while Engine.Run always
+// runs the event loop, so it stays the independent oracle the lockstep
+// walk is tested against.
 //
 // Each Run re-arms the same instance while retaining every internal
 // allocation — the calendar-queue buckets, the per-bank and per-section
@@ -51,10 +51,10 @@ func (E *Engine) Run(ctx context.Context, cfg Config, pt core.Pattern) (Result, 
 }
 
 // defaultMap caches the boxed default BankMap (interleave, or the GPU
-// word-interleaved map under the GPUShared discipline) for one engine or
-// batch lane: boxing the map into the interface every run would cost one
-// allocation per run. It holds no run state, so it survives release and
-// pins nothing.
+// word-interleaved map under the GPUShared discipline) for one engine:
+// boxing the map into the interface every run would cost one allocation
+// per run. It holds no run state, so it survives release and pins
+// nothing.
 type defaultMap struct {
 	m     core.BankMap
 	banks int

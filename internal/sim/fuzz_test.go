@@ -10,7 +10,7 @@ import (
 
 // FuzzSimVsReference is the differential property test behind the engine
 // rewrite: the event-driven engine, Run (which routes lockstep-eligible
-// configs to the one-lane walk) and the independent per-clock
+// configs to the lockstep walk) and the independent per-clock
 // RunReference oracle must produce identical Results on randomized
 // machine shapes, every bank service discipline, windows, network
 // sections, combining, DRAM bank groups, dyadic fractional delays, and

@@ -159,19 +159,18 @@ var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 //
 // RunContext picks the path by one rule, BatchEligible(cfg): an
 // eligible config — open- or closed-loop FIFO, Regulated, or ungrouped
-// single-row DRAM — runs as a one-lane batch on a pooled BatchEngine
-// (a windowed one detaches into the O(log p) replay at its first
-// stall), and every other config — probes, sections, combining, row
-// caches, GPUShared, grouped or multi-row DRAM — runs on a pooled event
-// Engine. Both paths return results byte-identical to Engine.Run, with
-// the same configuration errors, and both re-arm retained state in
-// place, so the steady-state allocation cost of a run is ~0
-// (TestProbesOffAllocBudget pins it).
+// single-row DRAM — runs on a pooled lockstep walk (a windowed one
+// finishes in the O(log p) replay at its first stall), and every other
+// config — probes, sections, combining, row caches, GPUShared, grouped
+// or multi-row DRAM — runs on a pooled event Engine. Both paths return
+// results byte-identical to Engine.Run, with the same configuration
+// errors, and both re-arm retained state in place, so the steady-state
+// allocation cost of a run is ~0 (TestProbesOffAllocBudget pins it).
 func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
 	if BatchEligible(cfg) {
-		b := AcquireBatchEngine()
-		res, err := b.runSolo(ctx, cfg, pt)
-		ReleaseBatchEngine(b)
+		b := lockstepPool.Get().(*lockstep)
+		res, err := b.run(ctx, cfg, pt)
+		lockstepPool.Put(b)
 		return res, err
 	}
 	e := enginePool.Get().(*Engine)
