@@ -268,8 +268,10 @@ func BenchmarkSimScatter64KProbed(b *testing.B) {
 	}
 }
 
-// BenchmarkSimScatter64KSections adds the section servers to the hot
-// path, covering the ring buffers on both server kinds.
+// BenchmarkSimScatter64KSections adds the network sections of the
+// paper's version (c): Run serves the open-loop config on the lockstep
+// walk, with each request passing its section and then its bank, two
+// constant-service FIFO stages.
 func BenchmarkSimScatter64KSections(b *testing.B) {
 	m := core.J90()
 	m.Sections = 8
@@ -316,13 +318,31 @@ func BenchmarkSimScatter64KRegulated(b *testing.B) {
 	}
 }
 
-// BenchmarkSimScatter64KGPU covers the warp-synchronous issue path, which
-// runs closed-loop (per-request completions drive the warp barrier) even
-// without a window.
+// BenchmarkSimScatter64KGPU covers the warp-synchronous issue path: a
+// processor issues its next warp only when the last lane of the current
+// one returns, so Run serves it on the lockstep walk's warp replay, one
+// tournament-tree event per warp inject and per warp release.
 func BenchmarkSimScatter64KGPU(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
 	cfg := sim.Config{Machine: m, Bank: sim.BankConfig{Discipline: sim.GPUShared}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(cfg, pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimScatter64KRowCache is X2's cached-bank config (FIFO with
+// four open rows per bank, the HS93 ablation) on the same scatter. Row
+// caches still run on the event engine; this is the baseline for moving
+// them to the lockstep walk.
+func BenchmarkSimScatter64KRowCache(b *testing.B) {
+	m := core.J90()
+	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
+	cfg := sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 4}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"dxbsp/internal/core"
+	"dxbsp/internal/sim"
 	"dxbsp/internal/tablefmt"
 )
 
@@ -143,5 +145,30 @@ func TestF5VersionCIsOffModel(t *testing.T) {
 	out := render(t, mustRunID(t, "F5", QuickConfig()))
 	if !strings.Contains(out, "(a)") || !strings.Contains(out, "(c)") {
 		t.Errorf("F5 missing versions:\n%s", out)
+	}
+}
+
+// TestDisciplineExperimentsTakeLockstep pins which engine serves the
+// discipline and section studies: every simulation D1, D2, D3, X13 and
+// F5 issue at quick scale is sim.BatchEligible, so RunContext serves it
+// on the lockstep walk, not the event engine.
+func TestDisciplineExperimentsTakeLockstep(t *testing.T) {
+	for _, id := range []string{"D1", "D2", "D3", "X13", "F5"} {
+		sims, slow := 0, map[string]int{}
+		cfg := QuickConfig()
+		cfg.Sim = SimRunnerFunc(func(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {
+			sims++ // Experiment.Run calls serially
+			if reason := sim.BatchFallbackReason(sc); reason != "" {
+				slow[reason]++
+			}
+			return sim.RunContext(ctx, sc, pt)
+		})
+		mustRunID(t, id, cfg)
+		if sims == 0 {
+			t.Errorf("%s issued no simulations", id)
+		}
+		if len(slow) > 0 {
+			t.Errorf("%s: %d sims, event-engine fallbacks by reason %v", id, sims, slow)
+		}
 	}
 }

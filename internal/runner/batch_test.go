@@ -76,8 +76,9 @@ func TestBatcherPassthrough(t *testing.T) {
 	})
 	var reasons []string
 	observe := func(cfg sim.Config, pt core.Pattern, reason string) { reasons = append(reasons, reason) }
-	gpu := batcherTestConfig(2, 4)
-	gpu.Bank = sim.BankConfig{Discipline: sim.GPUShared}
+	sections := batcherTestConfig(2, 4)
+	sections.Machine.Sections, sections.Machine.SectionGap = 4, 1
+	sections.UseSections, sections.Window = true, 2
 
 	b := &Batcher{K: 1, Next: next, Observe: observe}
 	if _, err := b.RunSim(context.Background(), batcherTestConfig(2, 4), pt); err != nil {
@@ -85,7 +86,7 @@ func TestBatcherPassthrough(t *testing.T) {
 	}
 
 	b.K = 4
-	for _, cfg := range []sim.Config{batcherTestConfig(2, 4), gpu} {
+	for _, cfg := range []sim.Config{batcherTestConfig(2, 4), sections} {
 		if _, err := b.RunSim(context.Background(), cfg, pt); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestBatcherPassthrough(t *testing.T) {
 	if n := forwarded.Load(); n != 4 {
 		t.Fatalf("forwarded %d calls, want 4", n)
 	}
-	if want := []string{"", "gpu-shared"}; strings.Join(reasons, ",") != strings.Join(want, ",") {
+	if want := []string{"", "sections"}; strings.Join(reasons, ",") != strings.Join(want, ",") {
 		t.Fatalf("classified %q, want %q", reasons, want)
 	}
 }
@@ -123,7 +124,7 @@ func TestBatcherEfficacyCounters(t *testing.T) {
 	fast2 := batcherTestConfig(2, 4)
 	fast2.Window = 4 // windowed lanes are fast-path now
 	gpu := batcherTestConfig(2, 4)
-	gpu.Bank = sim.BankConfig{Discipline: sim.GPUShared}
+	gpu.Bank = sim.BankConfig{Discipline: sim.GPUShared} // so are warps
 	grouped := batcherTestConfig(2, 4)
 	grouped.Bank = sim.BankConfig{Discipline: sim.DRAM, Groups: 2}
 
@@ -145,13 +146,15 @@ func TestBatcherEfficacyCounters(t *testing.T) {
 
 	out := omExport(t, o)
 	for _, want := range []string{
-		"dxbsp_batch_fast_lanes_total 2",
-		`dxbsp_batch_fallback_lanes_total{reason="gpu-shared"} 1`,
+		"dxbsp_batch_fast_lanes_total 3",
 		`dxbsp_batch_fallback_lanes_total{reason="dram-groups"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "gpu-shared") {
+		t.Errorf("export still labels a GPUShared lane as a fallback:\n%s", out)
 	}
 	if strings.Contains(omExport(t, NewObserver()), "dxbsp_batch") {
 		t.Error("observer without batching exported batch series")

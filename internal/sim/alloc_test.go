@@ -103,4 +103,26 @@ func TestProbesOffAllocBudget(t *testing.T) {
 		}
 		t.Logf("%s: %.1f allocs per run (budget %d)", tc.name, allocs, budget)
 	}
+
+	// Alternating bank counts of 256 and more (whose default maps do not
+	// fit the runtime's preboxed small values) and the interleave and GPU
+	// maps on the pooled lockstep walk must not re-box a map per run.
+	var alt []Config
+	for _, banks := range []int{256, 512} {
+		for _, bank := range []BankConfig{{}, {Discipline: GPUShared}} {
+			mb := m
+			mb.Banks = banks
+			alt = append(alt, Config{Machine: mb, Bank: bank})
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, cfg := range alt {
+			if _, err := Run(cfg, pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("alternating banks and maps: %.1f allocs per warm cycle, want 0", allocs)
+	}
 }

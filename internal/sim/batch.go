@@ -22,10 +22,12 @@ import (
 // and TestWideWindowMatchesOpenLoop.
 //
 // The eligible regime covers the open- and closed-loop (Window > 0)
-// FIFO bank, the Regulated bank, and row-buffer DRAM without bank
-// groups. A closed-loop run advances in lockstep while no processor is
+// FIFO bank, the Regulated bank, row-buffer DRAM without bank groups,
+// open-loop FIFO behind network sections, and GPUShared warps. A
+// closed-loop run advances in lockstep while no processor is
 // window-blocked; at the first stall it finishes in a replay of the
-// event engine's remaining events (runReplay).
+// event engine's remaining events (runReplay). Warps never follow the
+// grid, so they replay from the start (runWarps).
 //
 // Like Engine, a lockstep is single-run at a time and retains every
 // arena across runs, so warm runs allocate nothing
@@ -46,6 +48,19 @@ type lockstep struct {
 
 	cls svcClass
 	win int32 // Window (0 = open loop)
+
+	// Network sections (open-loop FIFO only): the section gap, the banks
+	// per section, the arena index of section 0 (0 = no sections) and the
+	// sections' high-water queue depth. Sections are constant-service
+	// FIFO servers kept in the bank arenas, after the banks.
+	sg      float64
+	bps     int
+	sec0    int
+	secMaxQ int32
+
+	// GPUShared: lanes per warp and the lanes that found their bank busy.
+	warp    int32
+	replays int32
 
 	// Discipline parameters, meaningful per class: the DRAM row shift
 	// and hit/miss service times, the Regulated window and budget.
@@ -92,13 +107,13 @@ type lockstep struct {
 	outst  []int32
 	injSeq []int32
 
-	// comp is a closed-loop run's pending-completion min-heap (ordered by
-	// time): a completion strictly before the next injection grid point
-	// has been processed by the event engine before that inject, so it
-	// drains outst at round start. busyEvs collects float accumulations
-	// whose event-engine order differs from arrival order (DRAM BankBusy,
-	// Regulated ThrottleStallCycles); they are sorted by event key and
-	// summed in result.
+	// comp is a closed-loop run's pending-completion min-heap, ordered by
+	// (time, seq) like the replay's: a completion strictly before the next
+	// injection grid point has been processed by the event engine before
+	// that inject, so it drains outst at round start. busyEvs collects
+	// float accumulations whose event-engine order differs from arrival
+	// order (DRAM BankBusy, Regulated ThrottleStallCycles); they are
+	// sorted by event key and summed in result.
 	comp    []compEv
 	busyEvs []busyEv
 
@@ -123,8 +138,8 @@ type lockstep struct {
 	// internal nodes.
 	rTree []int32
 
-	// defMap caches the boxed default BankMap, as Engine.defMap does.
-	defMap defaultMap
+	// defMaps caches the boxed default BankMaps, as Engine.defMaps does.
+	defMaps defaultMaps
 }
 
 // svcClass is the service-discipline class the lockstep walk dispatches
@@ -135,6 +150,7 @@ const (
 	clFIFO svcClass = iota // constant-d FIFO service
 	clDRAM                 // single open row per bank, no bank groups
 	clReg                  // bandwidth-regulated bank
+	clGPU                  // GPUShared: constant-d FIFO, warp-synchronous issue
 )
 
 // compEv is one pending closed-loop completion: the response for request
@@ -218,10 +234,11 @@ func bankOf(kind mapKind, arg uint64, bm core.BankMap, addr uint64) int {
 }
 
 // BatchEligible reports whether cfg takes the lockstep walk: open- or
-// closed-loop FIFO, Regulated, or ungrouped single-row DRAM, with no
-// combining, no section bottleneck and no probe. It is RunContext's
-// routing rule: eligible configs run on the lockstep walk, the rest on
-// the event engine. Equivalent to BatchFallbackReason(cfg) == "".
+// closed-loop FIFO, Regulated, ungrouped single-row DRAM, GPUShared, or
+// open-loop FIFO behind network sections, with no combining and no
+// probe. It is RunContext's routing rule: eligible configs run on the
+// lockstep walk, the rest on the event engine. Equivalent to
+// BatchFallbackReason(cfg) == "".
 func BatchEligible(cfg Config) bool {
 	return BatchFallbackReason(cfg) == ""
 }
@@ -231,7 +248,9 @@ func BatchEligible(cfg Config) bool {
 // set the runner's batch-efficacy metrics report. It is deterministic on
 // raw and normalized configs alike (the runner's Batcher classifies raw
 // configs), so the one default it must anticipate is DRAM's CacheLines,
-// where unset means one open row.
+// where unset means one open row. Sections are eligible only in front of
+// plain open-loop FIFO banks; every other sectioned config is labelled
+// "sections".
 func BatchFallbackReason(cfg Config) string {
 	if cfg.Combining {
 		return "combining"
@@ -239,7 +258,8 @@ func BatchFallbackReason(cfg Config) string {
 	if cfg.Probe != nil {
 		return "probe"
 	}
-	if cfg.UseSections && cfg.Machine.Sections > 1 {
+	if cfg.UseSections && cfg.Machine.Sections > 1 &&
+		(cfg.Window > 0 || cfg.Bank.Discipline != FIFO || cfg.Bank.CacheLines > 0) {
 		return "sections"
 	}
 	switch cfg.Bank.Discipline {
@@ -254,11 +274,9 @@ func BatchFallbackReason(cfg Config) string {
 		if cfg.Bank.CacheLines > 1 {
 			return "dram-multirow"
 		}
-	case Regulated:
-		// Fully eligible: the window accounting is per-bank state.
-	default:
-		return "gpu-shared"
 	}
+	// Regulated and GPUShared are fully eligible: the window accounting
+	// is per-bank state, and warps replay on runWarps' tree.
 	return ""
 }
 
@@ -328,7 +346,7 @@ const batchPollRequests = 4096
 //     kind, seq) event key, sorted, and summed in result so the
 //     partial-sum rounding is bit-identical.
 func (b *lockstep) run(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
-	cfg, err := prepare(cfg, pt, &b.defMap)
+	cfg, err := prepare(cfg, pt, &b.defMaps)
 	if err != nil {
 		return Result{}, err
 	}
@@ -337,9 +355,14 @@ func (b *lockstep) run(ctx context.Context, cfg Config, pt core.Pattern) (Result
 	for _, addrs := range pt.PerProc {
 		maxLen = max(maxLen, len(addrs))
 	}
-	if b.cls == clFIFO && b.win == 0 {
+	switch {
+	case b.cls == clGPU:
+		err = b.runWarps(ctx, pt)
+	case b.sec0 > 0:
+		err = b.runSections(ctx, pt, maxLen)
+	case b.cls == clFIFO && b.win == 0:
 		err = b.runPlain(ctx, pt, maxLen)
-	} else {
+	default:
 		err = b.runMixed(ctx, pt, maxLen)
 	}
 	b.bm = nil
@@ -358,7 +381,7 @@ func (b *lockstep) reset(cfg Config, pt core.Pattern) {
 	b.mk, b.mkArg = resolveMap(cfg.BankMap)
 	b.bm = cfg.BankMap
 	b.win = int32(cfg.Window)
-	b.rowHits, b.rowConf, b.thrStalls = 0, 0, 0
+	b.rowHits, b.rowConf, b.thrStalls, b.replays, b.secMaxQ = 0, 0, 0, 0, 0
 	switch cfg.Bank.Discipline {
 	case DRAM:
 		b.cls = clDRAM
@@ -367,48 +390,46 @@ func (b *lockstep) reset(cfg Config, pt core.Pattern) {
 	case Regulated:
 		b.cls = clReg
 		b.regW, b.regB = cfg.Bank.RegWindow, int32(cfg.Bank.RegBudget)
+	case GPUShared:
+		b.cls = clGPU
+		b.warp = int32(cfg.Bank.WarpSize)
 	default:
 		b.cls = clFIFO
 	}
 
-	b.lastFin = growSlice(b.lastFin, banks)
-	b.frontStart = growSlice(b.frontStart, banks)
-	b.qn = growSlice(b.qn, banks)
-	b.serve = growSlice(b.serve, banks)
+	servers := banks
+	b.sec0 = 0
+	if nsec := cfg.Machine.Sections; cfg.UseSections && nsec > 1 {
+		b.sg, b.bps, b.sec0 = cfg.Machine.SectionGap, (banks+nsec-1)/nsec, banks
+		servers += nsec
+	}
+	b.lastFin = growSlice(b.lastFin, servers)
+	b.frontStart = growZero(b.frontStart, servers)
+	b.qn = growZero(b.qn, servers)
+	b.serve = growZero(b.serve, servers)
 	for i := range b.lastFin {
 		b.lastFin[i] = -1 // any arrival time is >= 0, so -1 reads as idle
-		b.frontStart[i] = 0
-		b.qn[i] = 0
-		b.serve[i] = 0
 	}
 
 	vb := 0
-	if b.cls != clFIFO {
+	if b.cls == clDRAM || b.cls == clReg {
 		vb = banks
 	}
-	b.rowTag = growSlice(b.rowTag, vb)
-	b.rowHas = growSlice(b.rowHas, vb)
-	b.regEpoch = growSlice(b.regEpoch, vb)
-	b.regUsed = growSlice(b.regUsed, vb)
-	b.lastSeq = growSlice(b.lastSeq, vb)
+	b.rowTag = growZero(b.rowTag, vb)
+	b.rowHas = growZero(b.rowHas, vb)
+	b.regEpoch = growZero(b.regEpoch, vb)
+	b.regUsed = growZero(b.regUsed, vb)
+	b.lastSeq = growZero(b.lastSeq, vb)
 	b.ringBuf = growNested(b.ringBuf, vb)
-	b.ringHead = growSlice(b.ringHead, vb)
-	b.ringN = growSlice(b.ringN, vb)
-	for i := 0; i < vb; i++ {
-		b.rowTag[i] = 0
-		b.rowHas[i] = false
-		b.regEpoch[i] = 0
-		b.regUsed[i] = 0
-		b.lastSeq[i] = 0
-		b.ringHead[i] = 0
-		b.ringN[i] = 0
-	}
+	b.ringHead = growZero(b.ringHead, vb)
+	b.ringN = growZero(b.ringN, vb)
 	b.busyEvs = b.busyEvs[:0]
 
 	// Replay the event engine's reset: one evInject seq per processor with
-	// a non-empty stream, assigned in processor order.
+	// a non-empty stream, assigned in processor order. Windowed and warp
+	// runs size the per-processor replay scratch.
 	np := 0
-	if b.win > 0 {
+	if b.win > 0 || b.cls == clGPU {
 		np = pt.Procs()
 	}
 	b.outst = growSlice(b.outst, np)
@@ -451,6 +472,13 @@ func growSlice[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
+}
+
+// growZero is growSlice with the returned slice zeroed.
+func growZero[T any](s []T, n int) []T {
+	s = growSlice(s, n)
+	clear(s)
+	return s
 }
 
 // growNested resizes an outer slice of retained inner slices, carrying
@@ -523,7 +551,7 @@ func (b *lockstep) runPlain(ctx context.Context, pt core.Pattern, maxLen int) er
 	return nil
 }
 
-// runMixed is the walk for every other eligible config: DRAM and
+// runMixed is the walk for the remaining grid-shaped configs: DRAM and
 // Regulated take the variable-service path of serveArrival, and
 // closed-loop runs additionally track the in-flight window and finish
 // in runReplay at their first stall.
@@ -570,7 +598,7 @@ func (b *lockstep) runMixed(ctx context.Context, pt core.Pattern, maxLen int) er
 			}
 			if win > 0 {
 				b.outst[p]++
-				b.pushComp(compEv{t: t, seq: reqSeq, proc: int32(p)})
+				b.comp = pushPC(b.comp, compEv{t: t, seq: reqSeq, proc: int32(p)})
 			}
 			served++
 		}
@@ -592,34 +620,16 @@ func (b *lockstep) runMixed(ctx context.Context, pt core.Pattern, maxLen int) er
 // left the queue — so the busy test and the dequeue drains tighten from
 // strict to inclusive comparisons against a.
 func (b *lockstep) serveArrival(bank int, a float64, addr uint64, reqSeq int32, late bool) float64 {
-	f := b.lastFin[bank]
 	if b.cls == clFIFO {
 		// Closed-loop FIFO: service is the constant d, so the open-loop
 		// frontStart/qn arithmetic applies verbatim.
-		dl := b.d
-		done := a + dl
-		if f > a || (f == a && !late) {
-			fs, n := b.frontStart[bank], b.qn[bank]
-			for n > 0 && (fs < a || (late && fs == a)) {
-				fs += dl
-				n--
-			}
-			n++
-			if n == 1 {
-				fs = f
-			}
-			b.frontStart[bank] = fs
-			b.qn[bank] = n
-			b.maxQ = max(b.maxQ, n)
-			done = f + dl
-		} else {
-			b.qn[bank] = 0
-		}
-		b.lastFin[bank] = done
+		done, n := fifoServe(b.lastFin, b.frontStart, b.qn, bank, a, b.d, late)
+		b.maxQ = max(b.maxQ, n)
 		b.serve[bank]++
-		b.busyAcc += dl
+		b.busyAcc += b.d
 		return done
 	}
+	f := b.lastFin[bank]
 
 	// Variable-service classes (DRAM, Regulated). The event engine's
 	// start event for a queued request is its predecessor's bank-done
@@ -709,50 +719,76 @@ func (b *lockstep) serveArrival(bank int, a float64, addr uint64, reqSeq int32, 
 	return done
 }
 
+// fifoServe serves an arrival at time a on constant-service FIFO server
+// i (a bank or a section): the frontStart/qn arithmetic of runPlain, with
+// serveArrival's late tightening. It returns the service finish time and
+// the server's waiting-line length after the arrival, 0 when the arrival
+// found the server idle and started at once.
+func fifoServe(lastFin, frontStart []float64, qn []int32, i int, a, dl float64, late bool) (float64, int32) {
+	f := lastFin[i]
+	if f < a || (f == a && late) {
+		qn[i] = 0
+		lastFin[i] = a + dl
+		return a + dl, 0
+	}
+	fs, n := frontStart[i], qn[i]
+	for n > 0 && (fs < a || (late && fs == a)) {
+		fs += dl
+		n--
+	}
+	n++
+	if n == 1 {
+		fs = f
+	}
+	frontStart[i] = fs
+	qn[i] = n
+	lastFin[i] = f + dl
+	return f + dl, n
+}
+
+// runSections is the walk for open-loop FIFO behind network sections:
+// each request passes two constant-service FIFO stages in issue order,
+// its section (arena server sec0 + bank/bps) and then its bank, which
+// it reaches the instant the section finishes forwarding it. DESIGN.md
+// §14 shows why the walk's order is every section's and every bank's
+// event order.
+func (b *lockstep) runSections(ctx context.Context, pt core.Pattern, maxLen int) error {
+	served, nextPoll := 0, 0 // poll before the first round too
+	for r := 0; r < maxLen; r++ {
+		if served >= nextPoll {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("sim: batch cancelled after %d requests: %w", served, err)
+			}
+			nextPoll = served + batchPollRequests
+		}
+		a := b.injT + b.nd
+		for _, addrs := range pt.PerProc {
+			if r >= len(addrs) {
+				continue
+			}
+			bank := bankOf(b.mk, b.mkArg, b.bm, addrs[r])
+			fwd, sq := fifoServe(b.lastFin, b.frontStart, b.qn, b.sec0+bank/b.bps, a, b.sg, false)
+			done, bq := fifoServe(b.lastFin, b.frontStart, b.qn, bank, fwd, b.d, false)
+			b.secMaxQ, b.maxQ = max(b.secMaxQ, sq), max(b.maxQ, bq)
+			b.serve[bank]++
+			b.busyAcc += b.d
+			b.lastDone = max(b.lastDone, done+b.nd)
+			served++
+		}
+		b.injT += b.g
+	}
+	return nil
+}
+
 // drainComp pops the pending completions strictly earlier than t,
 // releasing their processors' window slots. Completion responses update
 // the completion clock at push time (max, order-independent), so the
-// drain only touches outst.
+// drain only touches outst, and the pop order among them is free.
 func (b *lockstep) drainComp(t float64) {
-	h := b.comp
-	for len(h) > 0 && h[0].t < t {
-		b.outst[h[0].proc]--
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		// Sift down by time.
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && h[c+1].t < h[c].t {
-				c++
-			}
-			if h[i].t <= h[c].t {
-				break
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
+	for len(b.comp) > 0 && b.comp[0].t < t {
+		b.outst[b.comp[0].proc]--
+		b.comp = popPC(b.comp)
 	}
-	b.comp = h
-}
-
-// pushComp inserts a pending completion into the min-heap.
-func (b *lockstep) pushComp(e compEv) {
-	h := append(b.comp, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].t <= h[i].t {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	b.comp = h
 }
 
 // Replay candidate aux keys: the event kind packed above the request
@@ -941,14 +977,7 @@ func (b *lockstep) runReplay(ctx context.Context, pt core.Pattern, r, p int) err
 		}
 	}
 
-	// Build the tournament's internal nodes bottom-up. Ties only arise
-	// between idle sentinels (live keys are distinct: every event has
-	// its own seq), so either child may win them.
-	tree := b.rTree
-	leaves := len(tree) / 2
-	for i := leaves - 1; i > 0; i-- {
-		tree[i] = repWinner(candT, candA, tree[2*i], tree[2*i+1])
-	}
+	tree := b.buildTree()
 
 	seqc := b.seq
 	sincePoll := 0
@@ -1028,10 +1057,112 @@ func (b *lockstep) runReplay(ctx context.Context, pt core.Pattern, r, p int) err
 			candT[q] = t2
 			candA[q] = aux | int64(seqc)
 		}
-		// Only q's candidate changed: replay its leaf-to-root path.
-		for i := (leaves + q) >> 1; i > 0; i >>= 1 {
-			tree[i] = repWinner(candT, candA, tree[2*i], tree[2*i+1])
+		fixTree(tree, candT, candA, q)
+	}
+	return nil
+}
+
+// buildTree builds the replay tournament's internal nodes bottom-up over
+// the current candidates and returns the tree. Ties only arise between
+// idle sentinels (live keys are distinct: every event has its own seq),
+// so either child may win them.
+func (b *lockstep) buildTree() []int32 {
+	tree := b.rTree
+	for i := len(tree)/2 - 1; i > 0; i-- {
+		tree[i] = repWinner(b.rCandT, b.rCandA, tree[2*i], tree[2*i+1])
+	}
+	return tree
+}
+
+// fixTree replays processor q's leaf-to-root path after q's candidate,
+// the only one that changed, was replaced.
+func fixTree(tree []int32, candT []float64, candA []int64, q int) {
+	for i := (len(tree)/2 + q) >> 1; i > 0; i >>= 1 {
+		tree[i] = repWinner(candT, candA, tree[2*i], tree[2*i+1])
+	}
+}
+
+// runWarps is the walk for GPUShared (DESIGN.md §14). A processor issues
+// its next warp only when the last lane of the current one returns, so
+// the walk replays the events on runReplay's tournament tree. Each
+// processor exposes one candidate: its next warp's inject (kind 0, or 1
+// when late: released at its own completion instant with NetDelay 0, as
+// in runReplay), or the release of the warp in flight. Of a warp's lane
+// completions only the last to pop has an ordered effect — it schedules
+// the next warp and burns one seq — so the release is keyed kind 4 with
+// the lanes' latest completion and the largest lane seq at that instant.
+// Lanes take consecutive seqs and arrive together, so serving them at
+// the inject keeps every bank's (time, seq) arrival order. WarpReplays
+// counts the lanes that found their bank busy, the ones the event engine
+// queues.
+func (b *lockstep) runWarps(ctx context.Context, pt core.Pattern) error {
+	next, nia := b.rNext, b.rNIA
+	candT, candA := b.rCandT, b.rCandA
+	G, nd, dl, warp := b.g, b.nd, b.d, int(b.warp)
+	none := math.Inf(1)
+	var seqc int32
+	for q, addrs := range pt.PerProc {
+		next[q], nia[q] = 0, 0
+		candT[q], candA[q] = none, repAuxNone
+		if len(addrs) > 0 {
+			seqc++ // the reset's inject at time 0, in processor order
+			candT[q], candA[q] = 0, int64(seqc)
 		}
+	}
+	tree := b.buildTree()
+	served, nextPoll := 0, 0 // poll before the first warp too
+	for {
+		q := int(tree[1])
+		bt, ba := candT[q], candA[q]
+		if bt == none {
+			break // every processor is done
+		}
+		if served >= nextPoll {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("sim: batch cancelled after %d requests: %w", served, err)
+			}
+			nextPoll = served + batchPollRequests
+		}
+		if ba >= repAuxComp {
+			// Release: burn the next inject's seq and schedule it no
+			// earlier than the issue gap allows.
+			seqc++
+			t := max(bt, nia[q])
+			aux := int64(0)
+			if t == bt && nd == 0 {
+				aux = repAuxLate
+			}
+			candT[q], candA[q] = t, aux|int64(seqc)
+			fixTree(tree, candT, candA, q)
+			continue
+		}
+		addrs := pt.PerProc[q]
+		i, end := int(next[q]), min(int(next[q])+warp, len(addrs))
+		next[q], nia[q] = int32(end), bt+G
+		a, late := bt+nd, ba >= repAuxLate
+		relT, relS := -1.0, int32(0)
+		for ; i < end; i++ {
+			seqc++
+			bank := bankOf(b.mk, b.mkArg, b.bm, addrs[i])
+			done, n := fifoServe(b.lastFin, b.frontStart, b.qn, bank, a, dl, late)
+			if n > 0 {
+				b.replays++
+				b.maxQ = max(b.maxQ, n)
+			}
+			b.serve[bank]++
+			b.busyAcc += dl
+			ct := done + nd
+			b.lastDone = max(b.lastDone, ct)
+			if ct >= relT {
+				relT, relS = ct, seqc
+			}
+			served++
+		}
+		candT[q], candA[q] = none, repAuxNone
+		if end < len(addrs) {
+			candT[q], candA[q] = relT, repAuxComp|int64(relS)
+		}
+		fixTree(tree, candT, candA, q)
 	}
 	return nil
 }
@@ -1049,7 +1180,7 @@ func (b *lockstep) result(n int) Result {
 		BankBusy:     b.busyAcc,
 	}
 	var deferred float64
-	if b.cls != clFIFO {
+	if b.cls == clDRAM || b.cls == clReg {
 		slices.SortFunc(b.busyEvs, cmpBusyEv)
 		for _, e := range b.busyEvs {
 			deferred += e.v
@@ -1063,7 +1194,10 @@ func (b *lockstep) result(n int) Result {
 	case clReg:
 		res.ThrottleStalls = int(b.thrStalls)
 		res.ThrottleStallCycles = deferred
+	case clGPU:
+		res.WarpReplays = int(b.replays)
 	}
+	res.MaxSectionQueue = int(b.secMaxQ)
 	for _, c := range b.serve {
 		res.MaxBankServed = max(res.MaxBankServed, int(c))
 	}

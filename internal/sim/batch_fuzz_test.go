@@ -15,10 +15,16 @@ import (
 // (NewEngine().Run: Run itself routes eligible configs through the
 // lockstep walk under test). This covers the whole lockstep regime
 // (open- and closed-loop FIFO, ungrouped single-row DRAM, Regulated —
-// including runs that window-stall into the replay) and the configs
-// only the event engine serves (grouped or multi-row DRAM, GPUShared,
-// row-buffered FIFO), over the same address-pattern shapes
+// including runs that window-stall into the replay — GPUShared warps,
+// and open-loop FIFO behind network sections) and the configs only the
+// event engine serves (grouped or multi-row DRAM, row-buffered FIFO,
+// windowed sections), over the same address-pattern shapes
 // FuzzSimVsReference draws.
+//
+// Every plain FIFO config is also run behind network sections, keeping
+// its window: a sectioned copy with its own section count and gap,
+// drawn from a second stream so the main stream — and with it every
+// committed corpus entry — replays unchanged.
 //
 // Under `go test` the seed corpus runs as a regression suite; under
 // `go test -fuzz FuzzBatchVsScalar ./internal/sim/` the mutator explores
@@ -35,8 +41,11 @@ func FuzzBatchVsScalar(f *testing.F) {
 	f.Add(uint64(9), uint8(5), uint8(3), uint16(400), uint8(0))
 	f.Add(uint64(10), uint8(9), uint8(6), uint16(900), uint8(1))
 	f.Add(uint64(11), uint8(15), uint8(2), uint16(650), uint8(2))
-	f.Add(uint64(12), uint8(4), uint8(2), uint16(700), uint8(1)) // p = 3
-	f.Add(uint64(13), uint8(5), uint8(6), uint16(900), uint8(0)) // p = 7
+	f.Add(uint64(12), uint8(4), uint8(2), uint16(700), uint8(1))  // p = 3
+	f.Add(uint64(13), uint8(5), uint8(6), uint16(900), uint8(0))  // p = 7
+	f.Add(uint64(14), uint8(8), uint8(3), uint16(640), uint8(1))  // sections, hot banks
+	f.Add(uint64(15), uint8(6), uint8(7), uint16(512), uint8(2))  // sections, bursty banks
+	f.Add(uint64(16), uint8(10), uint8(0), uint16(300), uint8(1)) // p = 1 warps
 
 	f.Fuzz(func(t *testing.T, seed uint64, kRaw, pRaw uint8, nRaw uint16, shape uint8) {
 		k := int(kRaw%16) + 1
@@ -87,7 +96,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 					RegWindow:  float64(1 + rg.Intn(32)),
 					RegBudget:  1 + rg.Intn(4),
 				}
-			case 6: // GPU shared memory: event engine only
+			case 6: // GPU shared memory: the lockstep warp walk
 				bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + rg.Intn(32)}
 				if nd < 1 {
 					nd = 1
@@ -106,6 +115,17 @@ func FuzzBatchVsScalar(f *testing.F) {
 				NetDelay: nd,
 				Bank:     bank,
 			}
+		}
+
+		secRg := rng.New(seed ^ 0x5ec7)
+		for _, c := range cfgs {
+			if c.Bank != (BankConfig{}) || c.Machine.Banks < 2 {
+				continue
+			}
+			c.Machine.Sections = 2 + secRg.Intn(min(c.Machine.Banks-1, 8))
+			c.Machine.SectionGap = float64(1+secRg.Intn(12)) / 4
+			c.UseSections = true
+			cfgs = append(cfgs, c)
 		}
 
 		addrs := make([]uint64, n)
@@ -137,9 +157,9 @@ func FuzzBatchVsScalar(f *testing.F) {
 				t.Fatalf("config %d event engine: %v", i, err)
 			}
 			if got != want {
-				t.Errorf("config %d/%d (disc=%s banks=%d d=%g g=%g nd=%g lockstep=%t): Run %+v != event engine %+v",
-					i, k, cfg.Bank.Discipline, cfg.Machine.Banks, cfg.Machine.D, cfg.Machine.G,
-					cfg.NetDelay, BatchEligible(cfg), got, want)
+				t.Errorf("config %d/%d (disc=%s banks=%d sections=%d d=%g g=%g nd=%g window=%d lockstep=%t): Run %+v != event engine %+v",
+					i, len(cfgs), cfg.Bank.Discipline, cfg.Machine.Banks, cfg.Machine.Sections, cfg.Machine.D,
+					cfg.Machine.G, cfg.NetDelay, cfg.Window, BatchEligible(cfg), got, want)
 			}
 		}
 	})

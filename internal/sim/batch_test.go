@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // g ∈ {1,2}, the axes a sweep varies, crossed with every
 // lockstep class — open- and closed-loop FIFO (including Window=1,
 // which stalls almost immediately), eligible and ineligible DRAM,
-// windowed Regulated — plus the configs only the event engine serves
-// (multi-row DRAM, GPUShared).
+// windowed Regulated, GPUShared warps — plus the config only the event
+// engine serves (multi-row DRAM).
 func batchGoldenConfigs() []Config {
 	variants := []struct {
 		bank   BankConfig
@@ -86,8 +87,8 @@ func TestBatchMatchesScalarGolden128(t *testing.T) {
 				i, cfg.Bank.Discipline, cfg.Machine.Banks/8, cfg.Machine.D, cfg.Machine.G, got, want)
 		}
 	}
-	if fast != 96 {
-		t.Fatalf("golden grid has %d lockstep configs, want 96 (six of the eight variants)", fast)
+	if fast != 112 {
+		t.Fatalf("golden grid has %d lockstep configs, want 112 (seven of the eight variants)", fast)
 	}
 }
 
@@ -137,10 +138,9 @@ func (m xorMap) NumBanks() int        { return m.banks }
 // TestBatchEngineReuseZeroAllocs pins the pooling contract: once a
 // lockstep engine has seen a shape, re-running configs on it — bank
 // counts shrinking and growing, discipline changes, and processor
-// counts shrinking and growing under the windowed runs — allocates
-// nothing. The GPUShared config is not lockstep-eligible; it runs on a
-// held event engine in the same cycle, flipping that engine's
-// discipline too.
+// counts shrinking and growing under the windowed and warp runs —
+// allocates nothing. The windowed section config is not
+// lockstep-eligible; it runs on a held event engine in the same cycle.
 func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -160,6 +160,11 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		c.Window = window
 		return c
 	}
+	sectioned := func(c Config, window int) Config {
+		c.Machine.Sections, c.Machine.SectionGap = 4, 0.5
+		c.UseSections, c.Window = true, window
+		return c
+	}
 	// The windowed configs (tight FIFO and DRAM windows that stall into
 	// the replay, a windowed Regulated one) pin the closed-loop arenas —
 	// completion heaps, dequeue rings, replay scratch — as retained too.
@@ -175,6 +180,8 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		mkw(16, 6, 2, BankConfig{}),
 		mkw(8, 12, 1, BankConfig{Discipline: DRAM, CacheLines: 1, HitDelay: 1, MissDelay: 12}),
 		mkw(16, 4, 3, BankConfig{Discipline: Regulated, RegWindow: 16, RegBudget: 2}),
+		sectioned(mk(24, 4, BankConfig{}), 0),
+		sectioned(mk(64, 6, BankConfig{}), 3),
 	}
 
 	ls, ev := new(lockstep), NewEngine()
@@ -205,14 +212,16 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRunBatchEmpty covers a zero-request pattern on both lockstep
-// loops (runPlain and runMixed).
+// TestRunBatchEmpty covers a zero-request pattern on every lockstep
+// loop (runPlain, runMixed, runSections and runWarps).
 func TestRunBatchEmpty(t *testing.T) {
 	m := core.Machine{Name: "e", Procs: 4, Banks: 8, D: 2, G: 1, L: 0}
 	pt := core.Pattern{PerProc: [][]uint64{{}, {}}}
 	for _, cfg := range []Config{
 		{Machine: m},
 		{Machine: m, Window: 2, Bank: BankConfig{Discipline: Regulated}},
+		{Machine: core.Machine{Name: "e", Procs: 4, Banks: 8, D: 2, G: 1, Sections: 2, SectionGap: 1}, UseSections: true},
+		{Machine: m, Bank: BankConfig{Discipline: GPUShared}},
 	} {
 		res, err := Run(cfg, pt)
 		if err != nil {
@@ -283,9 +292,10 @@ func TestWideWindowMatchesOpenLoop(t *testing.T) {
 // BatchEligible(cfg), by the path that actually runs: under a context
 // cancelled up front the lockstep walk fails at its first poll with a
 // "batch cancelled" error and the event engine fails after its first
-// cancelCheckEvents events. Open- and closed-loop eligible configs take
-// the lockstep walk; probes, sections, combining, row caches, GPUShared,
-// DRAM bank groups and multi-row DRAM stay on the event engine.
+// cancelCheckEvents events. Open- and closed-loop eligible configs,
+// GPUShared and open-loop FIFO sections take the lockstep walk; probes,
+// windowed or non-FIFO sections, combining, row caches, DRAM bank groups
+// and multi-row DRAM stay on the event engine.
 func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 	m := core.Machine{Name: "r", Procs: 4, Banks: 32, D: 4, G: 1, L: 2, Sections: 4, SectionGap: 1}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -304,10 +314,12 @@ func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 		{"dram windowed", Config{Machine: m, Window: 1, Bank: BankConfig{Discipline: DRAM, CacheLines: 1}}, true},
 		{"probe", Config{Machine: m, Probe: &countingProbe{}}, false},
 		{"windowed probe", Config{Machine: m, Window: 2, Probe: &countingProbe{}}, false},
-		{"sections", Config{Machine: m, UseSections: true}, false},
+		{"sections", Config{Machine: m, UseSections: true}, true},
+		{"sections windowed", Config{Machine: m, UseSections: true, Window: 2}, false},
+		{"sections regulated", Config{Machine: m, UseSections: true, Bank: BankConfig{Discipline: Regulated}}, false},
 		{"combining", Config{Machine: m, Combining: true}, false},
 		{"row cache", Config{Machine: m, Bank: BankConfig{CacheLines: 1}}, false},
-		{"gpu", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared}}, false},
+		{"gpu", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared}}, true},
 		{"dram groups", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 4}}, false},
 		{"dram multirow", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}, false},
 	} {
@@ -351,22 +363,97 @@ func TestReplayTreeOddProcs(t *testing.T) {
 					Window:   1 + p%3,
 					Bank:     bank,
 				}
-				ref, err := RunReference(cfg, pt)
-				if err != nil {
-					t.Fatalf("p=%d %s nd=%g reference: %v", p, bank.Discipline, nd, err)
+				checkThreeWay(t, fmt.Sprintf("p=%d %s nd=%g", p, bank.Discipline, nd), cfg, pt)
+			}
+		}
+	}
+}
+
+// checkThreeWay runs cfg through RunReference, the event engine and Run
+// and requires all three Results to be equal.
+func checkThreeWay(t *testing.T, name string, cfg Config, pt core.Pattern) {
+	t.Helper()
+	ref, err := RunReference(cfg, pt)
+	if err != nil {
+		t.Fatalf("%s reference: %v", name, err)
+	}
+	events, err := NewEngine().Run(context.Background(), cfg, pt)
+	if err != nil {
+		t.Fatalf("%s event engine: %v", name, err)
+	}
+	got, err := Run(cfg, pt)
+	if err != nil {
+		t.Fatalf("%s Run: %v", name, err)
+	}
+	if events != ref || got != ref {
+		t.Errorf("%s:\n Run:          %+v\n event engine: %+v\n reference:    %+v", name, got, events, ref)
+	}
+}
+
+// TestWarpWalkOddProcs holds runWarps to both oracles at processor
+// counts the tournament tree pads (and the degenerate p = 1), over warp
+// sizes that split the streams raggedly, with every fourth processor's
+// stream empty. NetDelay 0 exercises the late warp inject, released at
+// its own completion instant; 0.5 puts lane arrivals between grid
+// points. Every other processor count runs a custom BankMap instead of
+// the GPU word-interleaved default.
+func TestWarpWalkOddProcs(t *testing.T) {
+	for _, p := range []int{1, 3, 5, 63, 65, 513} {
+		rg := rng.New(uint64(p) + 11)
+		addrs := make([]uint64, 9*p+5)
+		for i := range addrs {
+			addrs[i] = rg.Uint64n(uint64(8 * p))
+		}
+		pt := core.NewPattern(addrs, p)
+		for q := 3; q < p; q += 4 {
+			pt.PerProc[q] = nil
+		}
+		for _, warp := range []int{1, 7, 32} {
+			for _, nd := range []float64{0, 0.5, 3} {
+				cfg := Config{
+					Machine:  core.Machine{Name: "warp", Procs: p, Banks: p + 2, D: 2, G: 1, L: 2 * nd},
+					NetDelay: nd,
+					Bank:     BankConfig{Discipline: GPUShared, WarpSize: warp},
 				}
-				events, err := NewEngine().Run(context.Background(), cfg, pt)
-				if err != nil {
-					t.Fatalf("p=%d %s nd=%g event engine: %v", p, bank.Discipline, nd, err)
+				if p%2 == 1 && p > 1 {
+					cfg.BankMap = xorMap{banks: p + 2}
 				}
-				got, err := Run(cfg, pt)
-				if err != nil {
-					t.Fatalf("p=%d %s nd=%g Run: %v", p, bank.Discipline, nd, err)
+				if !BatchEligible(cfg) {
+					t.Fatalf("p=%d warp=%d: GPUShared config ineligible", p, warp)
 				}
-				if events != ref || got != ref {
-					t.Errorf("p=%d %s nd=%g:\n Run:          %+v\n event engine: %+v\n reference:    %+v",
-						p, bank.Discipline, nd, got, events, ref)
+				checkThreeWay(t, fmt.Sprintf("p=%d warp=%d nd=%g", p, warp, nd), cfg, pt)
+			}
+		}
+	}
+}
+
+// TestSectionWalkUnevenSections holds runSections to both oracles when
+// Sections does not divide Banks, so the last section owns fewer banks
+// (ceil-sized contiguous ranges), across section gaps below, at and
+// above the issue gap and with NetDelay 0, where the section arrival is
+// taken inside the inject.
+func TestSectionWalkUnevenSections(t *testing.T) {
+	for _, shape := range []struct{ procs, banks, sections int }{
+		{4, 10, 3}, {5, 7, 4}, {8, 30, 8}, {3, 9, 2},
+	} {
+		rg := rng.New(uint64(shape.banks))
+		addrs := make([]uint64, 37*shape.procs+3)
+		for i := range addrs {
+			addrs[i] = rg.Uint64n(uint64(3 * shape.banks))
+		}
+		pt := core.NewPattern(addrs, shape.procs)
+		for _, sg := range []float64{0.25, 1, 3} {
+			for _, nd := range []float64{0, 0.5, 3} {
+				cfg := Config{
+					Machine: core.Machine{Name: "sec", Procs: shape.procs, Banks: shape.banks, D: 4, G: 1,
+						L: 2 * nd, Sections: shape.sections, SectionGap: sg},
+					NetDelay:    nd,
+					UseSections: true,
 				}
+				if !BatchEligible(cfg) {
+					t.Fatalf("%+v: open-loop section config ineligible", shape)
+				}
+				checkThreeWay(t, fmt.Sprintf("%+v sg=%g nd=%g", shape, sg, nd), cfg, pt)
 			}
 		}
 	}

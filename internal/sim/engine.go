@@ -10,9 +10,10 @@ import (
 // Engine is the event-driven simulator: the wheel-scheduled event loop
 // every configuration can run on. The package-level Run and RunContext
 // pick the path per config — lockstep-eligible configs take the
-// lockstep walk, everything else this engine — while Engine.Run always
-// runs the event loop, so it stays the independent oracle the lockstep
-// walk is tested against.
+// lockstep walk, and only probes, row caches, combining, windowed or
+// non-FIFO sections and grouped or multi-row DRAM come here — while
+// Engine.Run always runs the event loop, so it stays the independent
+// oracle the lockstep walk is tested against.
 //
 // Each Run re-arms the same instance while retaining every internal
 // allocation — the calendar-queue buckets, the per-bank and per-section
@@ -27,9 +28,9 @@ import (
 type Engine struct {
 	eng engine
 
-	// defMap caches the boxed default BankMap so repeated runs of a
-	// BankMap-less config do not re-box it every run.
-	defMap defaultMap
+	// defMaps caches the boxed default BankMaps so repeated runs of
+	// BankMap-less configs do not re-box them every run.
+	defMaps defaultMaps
 }
 
 // NewEngine returns an empty Engine. The first Run sizes its storage to
@@ -42,7 +43,7 @@ func NewEngine() *Engine { return &Engine{} }
 // to Run/RunContext for the same inputs regardless of what the engine
 // simulated before, and so are the errors.
 func (E *Engine) Run(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
-	cfg, err := prepare(cfg, pt, &E.defMap)
+	cfg, err := prepare(cfg, pt, &E.defMaps)
 	if err != nil {
 		return Result{}, err
 	}
@@ -50,37 +51,46 @@ func (E *Engine) Run(ctx context.Context, cfg Config, pt core.Pattern) (Result, 
 	return E.eng.simulate(ctx)
 }
 
-// defaultMap caches the boxed default BankMap (interleave, or the GPU
+// defaultMaps caches the boxed default BankMaps (interleave, or the GPU
 // word-interleaved map under the GPUShared discipline) for one engine:
-// boxing the map into the interface every run would cost one allocation
-// per run. It holds no run state, so it survives release and pins
-// nothing.
-type defaultMap struct {
-	m     core.BankMap
-	banks int
-	gpu   bool
+// boxing a map of 256 or more banks into the interface allocates, so a
+// sweep alternating bank counts or disciplines would pay an allocation
+// per run. It keeps the last eight maps it boxed, enough for the F6
+// expansion grid's eight bank counts. It holds no run state, so it
+// survives release and pins nothing.
+type defaultMaps struct {
+	m    [8]core.BankMap
+	next int // round-robin replacement cursor
+}
+
+// get returns the cached default map over banks, boxing it on a miss.
+func (dm *defaultMaps) get(banks int, gpu bool) core.BankMap {
+	for _, m := range dm.m {
+		if _, isGPU := m.(core.GPUSharedMap); m != nil && isGPU == gpu && m.NumBanks() == banks {
+			return m
+		}
+	}
+	var m core.BankMap
+	if gpu {
+		m = core.GPUSharedMap{Banks: banks}
+	} else {
+		m = core.InterleaveMap{Banks: banks}
+	}
+	dm.m[dm.next] = m
+	dm.next = (dm.next + 1) % len(dm.m)
+	return m
 }
 
 // prepare is the validation every engine performs before it simulates:
 // it fills in the default bank map from dm, normalizes cfg, and checks
 // the machine, the knobs and pt's processor count. The errors are the
 // ones Run returns.
-func prepare(cfg Config, pt core.Pattern, dm *defaultMap) (Config, error) {
+func prepare(cfg Config, pt core.Pattern, dm *defaultMaps) (Config, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return Config{}, err
 	}
 	if cfg.BankMap == nil {
-		gpu := cfg.Bank.Discipline == GPUShared
-		if dm.m == nil || dm.banks != cfg.Machine.Banks || dm.gpu != gpu {
-			if gpu {
-				dm.m = core.GPUSharedMap{Banks: cfg.Machine.Banks}
-			} else {
-				dm.m = core.InterleaveMap{Banks: cfg.Machine.Banks}
-			}
-			dm.banks = cfg.Machine.Banks
-			dm.gpu = gpu
-		}
-		cfg.BankMap = dm.m
+		cfg.BankMap = dm.get(cfg.Machine.Banks, cfg.Bank.Discipline == GPUShared)
 	}
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
@@ -156,42 +166,17 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 	e.groupGapOn = b.Discipline == DRAM && b.Groups > 0 && b.GroupGap > 0
 	if e.groupGapOn {
 		e.banksPerGroup = (cfg.Machine.Banks + b.Groups - 1) / b.Groups
-		if cap(e.groupReady) >= b.Groups {
-			e.groupReady = e.groupReady[:b.Groups]
-			for i := range e.groupReady {
-				e.groupReady[i] = 0
-			}
-		} else {
-			e.groupReady = make([]float64, b.Groups)
-		}
+		e.groupReady = growZero(e.groupReady, b.Groups)
 	}
 
 	// Regulated window accounting.
 	if b.Discipline == Regulated {
 		e.regWindow = b.RegWindow
 		e.regBudget = int32(b.RegBudget)
-		nb := cfg.Machine.Banks
-		if cap(e.regEpoch) >= nb && cap(e.regUsed) >= nb {
-			e.regEpoch = e.regEpoch[:nb]
-			e.regUsed = e.regUsed[:nb]
-			for i := range e.regEpoch {
-				e.regEpoch[i] = 0
-				e.regUsed[i] = 0
-			}
-		} else {
-			e.regEpoch = make([]int64, nb)
-			e.regUsed = make([]int32, nb)
-		}
+		e.regEpoch = growZero(e.regEpoch, cfg.Machine.Banks)
+		e.regUsed = growZero(e.regUsed, cfg.Machine.Banks)
 	}
-
-	if cap(e.procs) >= pt.Procs() {
-		e.procs = e.procs[:pt.Procs()]
-		for i := range e.procs {
-			e.procs[i] = procState{}
-		}
-	} else {
-		e.procs = make([]procState, pt.Procs())
-	}
+	e.procs = growZero(e.procs, pt.Procs())
 
 	nSections := 1
 	if cfg.UseSections && cfg.Machine.Sections > 1 {
@@ -230,14 +215,7 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 		}
 	}
 
-	if cap(e.bankServe) >= cfg.Machine.Banks {
-		e.bankServe = e.bankServe[:cfg.Machine.Banks]
-		for i := range e.bankServe {
-			e.bankServe[i] = 0
-		}
-	} else {
-		e.bankServe = make([]int, cfg.Machine.Banks)
-	}
+	e.bankServe = growZero(e.bankServe, cfg.Machine.Banks)
 
 	e.events.reset(cfg, cfg.Machine.Procs)
 

@@ -158,11 +158,13 @@ var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 // uncancelled RunContext produces cycle counts byte-identical to Run.
 //
 // RunContext picks the path by one rule, BatchEligible(cfg): an
-// eligible config — open- or closed-loop FIFO, Regulated, or ungrouped
-// single-row DRAM — runs on a pooled lockstep walk (a windowed one
-// finishes in the O(log p) replay at its first stall), and every other
-// config — probes, sections, combining, row caches, GPUShared, grouped
-// or multi-row DRAM — runs on a pooled event Engine. Both paths return
+// eligible config — open- or closed-loop FIFO, Regulated, ungrouped
+// single-row DRAM, GPUShared, or open-loop FIFO behind network sections
+// — runs on a pooled lockstep walk (a windowed one finishes in the
+// O(log p) replay at its first stall; warps replay on the same tree),
+// and every other config — probes, windowed or non-FIFO sections,
+// combining, row caches, grouped or multi-row DRAM — runs on a pooled
+// event Engine. Both paths return
 // results byte-identical to Engine.Run, with the same configuration
 // errors, and both re-arm retained state in place, so the steady-state
 // allocation cost of a run is ~0 (TestProbesOffAllocBudget pins it).
