@@ -62,6 +62,7 @@ func RadixSort(vm *vector.Machine, v *vector.Vec, maxKey int64, digitBits uint) 
 	dest := vm.Alloc(n)
 	nextKeys := vm.Alloc(n)
 	nextOrder := vm.Alloc(n)
+	running := make([]int64, radix*procs) // each group's running rank
 
 	passes := 0
 	for shift := uint(0); ; shift += digitBits {
@@ -109,7 +110,7 @@ func RadixSort(vm *vector.Machine, v *vector.Vec, maxKey int64, digitBits uint) 
 		// registers on the real machine (the virtual-processor loop of
 		// [ZB91]); here it is an elementwise pass.
 		vm.Gather(elemOff, offsets, bucketIdx)
-		running := make(map[int64]int64, radix*procs)
+		clear(running)
 		for i := range dest.Data {
 			b := bucketIdx.Data[i]
 			dest.Data[i] = elemOff.Data[i] + running[b]

@@ -166,3 +166,26 @@ func TestRadixSortContentionBounded(t *testing.T) {
 		t.Errorf("radix sort contention %d too high for n=%d", vm.MaxLocContention(), n)
 	}
 }
+
+// RadixSort's allocations do not grow with its digit passes: every
+// per-pass buffer, the running ranks included, is allocated once per
+// sort. One 8-bit pass and four cost the same number of allocations.
+func TestRadixSortAllocsIndependentOfPasses(t *testing.T) {
+	vm := newVM()
+	g := rng.New(5)
+	data := make([]int64, 1024)
+	for i := range data {
+		data[i] = int64(g.Intn(1 << 8))
+	}
+	v := vm.AllocInit(data)
+	allocs := func(maxKey int64, wantPasses int) float64 {
+		if p := RadixSort(vm, v, maxKey, 8).Passes; p != wantPasses {
+			t.Fatalf("maxKey %d: %d passes, want %d", maxKey, p, wantPasses)
+		}
+		return testing.AllocsPerRun(20, func() { RadixSort(vm, v, maxKey, 8) })
+	}
+	one, four := allocs(1<<8-1, 1), allocs(1<<32-1, 4)
+	if one != four {
+		t.Errorf("allocs per sort: %v with 1 pass, %v with 4 passes", one, four)
+	}
+}

@@ -79,8 +79,13 @@ func RandomCSR(rows, cols, nnzPerRow, denseLen int, g *rng.Xoshiro256) *CSR {
 	if denseLen > rows {
 		denseLen = rows
 	}
-	m := &CSR{Rows: rows, Cols: cols}
-	m.RowPtr = make([]int64, rows+1)
+	m := &CSR{
+		Rows:   rows,
+		Cols:   cols,
+		RowPtr: make([]int64, rows+1),
+		ColIdx: make([]int64, 0, rows*nnzPerRow),
+		Val:    make([]int64, 0, rows*nnzPerRow),
+	}
 	denseCol := int64(cols / 2)
 	for r := 0; r < rows; r++ {
 		m.RowPtr[r] = int64(len(m.ColIdx))

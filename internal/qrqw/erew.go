@@ -19,31 +19,18 @@ import (
 
 // IsEREW reports whether every step of the program has contention at most
 // 1 — i.e. the program is a legal EREW PRAM program.
-func (p Program) IsEREW() bool {
-	var pr core.Profiler
-	for _, s := range p.Steps {
-		if s.contention(&pr) > 1 {
-			return false
-		}
-	}
-	return true
-}
+func (p Program) IsEREW() bool { return p.MaxContention() <= 1 }
 
 // EREWProgram returns a program of the given number of steps in which
 // each of v virtual processors accesses a distinct location per step (a
 // random permutation of a disjoint address block), so κ = 1 everywhere.
 func EREWProgram(v, steps int, g *rng.Xoshiro256) Program {
-	prog := Program{V: v}
-	for s := 0; s < steps; s++ {
+	return onePerVP(v, steps, func(s int, addrs []uint64) {
 		base := uint64(s) << 32
-		perm := g.Perm(v)
-		st := Step{Accesses: make([][]uint64, v)}
-		for i := 0; i < v; i++ {
-			st.Accesses[i] = []uint64{base + uint64(perm[i])}
+		for i, p := range g.Perm(v) {
+			addrs[i] = base + uint64(p)
 		}
-		prog.Steps = append(prog.Steps, st)
-	}
-	return prog
+	})
 }
 
 // MinSlacknessEREW returns the smallest slackness s = v/p for which the
@@ -77,10 +64,9 @@ func MinSlacknessEREW(m core.Machine, alpha float64) float64 {
 // supposedly exclusive-access program a detected bug rather than a silent
 // cost.
 func EmulateEREW(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, error) {
-	var pr core.Profiler
 	for i, s := range prog.Steps {
-		if c := s.contention(&pr); c > 1 {
-			return Result{}, fmt.Errorf("qrqw: EmulateEREW: step %d has contention %d (not EREW)", i, c)
+		if s.kappa > 1 {
+			return Result{}, fmt.Errorf("qrqw: EmulateEREW: step %d has contention %d (not EREW)", i, s.kappa)
 		}
 	}
 	return Emulate(prog, m, bm, mode)

@@ -10,7 +10,7 @@ import (
 // The QRQW queue rule: a step costs its maximum location contention.
 func ExampleStep_Cost() {
 	// Four virtual processors; three access location 9 concurrently.
-	st := qrqw.Step{Accesses: [][]uint64{{9}, {9}, {9}, {4}}}
+	st := qrqw.NewStep([][]uint64{{9}, {9}, {9}, {4}})
 	fmt.Printf("ops=%d κ=%d cost=%d\n", st.MaxOps(), st.Contention(), st.Cost())
 	// Output:
 	// ops=1 κ=3 cost=3
@@ -20,11 +20,11 @@ func ExampleStep_Cost() {
 // is work-preserving: the slowdown matches the slackness v/p.
 func ExampleEmulate() {
 	m := core.Machine{Name: "m", Procs: 8, Banks: 512, D: 8, G: 1, L: 0}
-	st := qrqw.Step{Accesses: make([][]uint64, 128)}
-	for i := range st.Accesses {
-		st.Accesses[i] = []uint64{uint64(i)} // contention-free step
+	acc := make([][]uint64, 128)
+	for i := range acc {
+		acc[i] = []uint64{uint64(i)} // contention-free step
 	}
-	prog := qrqw.Program{V: 128, Steps: []qrqw.Step{st}}
+	prog := qrqw.Program{V: 128, Steps: []qrqw.Step{qrqw.NewStep(acc)}}
 	res, err := qrqw.Emulate(prog, m, nil, qrqw.Analytic)
 	if err != nil {
 		panic(err)

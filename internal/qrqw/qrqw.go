@@ -21,69 +21,107 @@
 // captured text, so the bound functions reconstruct the stated *forms*
 // (the (d/x) inevitable overhead, and the Raghavan–Spencer condition that
 // makes the large-expansion emulation work-preserving).
+//
+// A Step stores its access lists flat (one address array in virtual-
+// processor order, V+1 int32 offsets) with MaxOps and κ computed when it is
+// built, and Analytic emulation charges h and k from that form directly.
 package qrqw
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"dxbsp/internal/core"
 	"dxbsp/internal/sim"
 )
 
-// Step is one QRQW PRAM step: for each virtual processor, the shared-
-// memory locations it accesses (reads and writes are costed identically by
-// the queue rule, so they are not distinguished here).
+// Step is one QRQW PRAM step: the shared-memory locations each virtual
+// processor accesses (reads and writes cost the same under the queue rule),
+// list i being addrs[off[i]:off[i+1]]. It is read-only once built.
 type Step struct {
-	Accesses [][]uint64
+	addrs         []uint64
+	off           []int32
+	maxOps, kappa int
 }
+
+// NewStep builds a step from each virtual processor's access list.
+func NewStep(accesses [][]uint64) Step {
+	off := make([]int32, 1, len(accesses)+1)
+	var addrs []uint64
+	for _, a := range accesses {
+		addrs = append(addrs, a...)
+		off = append(off, int32(len(addrs)))
+	}
+	return newStep(addrs, off, new(core.Profiler))
+}
+
+// newStep wraps the flat lists addrs and offsets off as a step, computing
+// MaxOps and κ on pr's buffers.
+func newStep(addrs []uint64, off []int32, pr *core.Profiler) Step {
+	if len(addrs) > math.MaxInt32 {
+		panic(fmt.Sprintf("qrqw: step of %d accesses overflows its int32 offsets", len(addrs)))
+	}
+	s := Step{addrs: addrs, off: off}
+	for i := 1; i < len(off); i++ {
+		s.maxOps = max(s.maxOps, int(off[i]-off[i-1]))
+	}
+	_, counts := pr.Locations(addrs)
+	for _, c := range counts {
+		s.kappa = max(s.kappa, c)
+	}
+	return s
+}
+
+// vp returns the accesses of virtual processor i.
+func (s Step) vp(i int) []uint64 { return s.addrs[s.off[i]:s.off[i+1]] }
 
 // MaxOps returns the maximum number of operations by any virtual
 // processor in the step.
-func (s Step) MaxOps() int {
-	m := 0
-	for _, a := range s.Accesses {
-		if len(a) > m {
-			m = len(a)
-		}
-	}
-	return m
-}
+func (s Step) MaxOps() int { return s.maxOps }
 
 // Contention returns κ, the maximum number of accesses to any single
 // location in the step.
-func (s Step) Contention() int {
-	var pr core.Profiler
-	return s.contention(&pr)
-}
-
-// contention is Contention on pr's buffers, for loops over many steps.
-func (s Step) contention(pr *core.Profiler) int {
-	_, counts := pr.Locations(s.Accesses...)
-	maxC := 0
-	for _, c := range counts {
-		maxC = max(maxC, c)
-	}
-	return maxC
-}
+func (s Step) Contention() int { return s.kappa }
 
 // Cost returns the QRQW time of the step: max(MaxOps, Contention).
-func (s Step) Cost() int {
-	var pr core.Profiler
-	return s.cost(&pr)
-}
-
-func (s Step) cost(pr *core.Profiler) int {
-	return max(s.MaxOps(), s.contention(pr))
-}
+func (s Step) Cost() int { return max(s.maxOps, s.kappa) }
 
 // Requests returns the total number of memory requests in the step.
-func (s Step) Requests() int {
-	n := 0
-	for _, a := range s.Accesses {
-		n += len(a)
+func (s Step) Requests() int { return len(s.addrs) }
+
+// pattern returns the step as p physical processors issue it: processor
+// r issues the accesses of virtual processors r, r+p, r+2p, ... in turn.
+func (s Step) pattern(p int) core.Pattern {
+	per := make([][]uint64, p)
+	for i := range len(s.off) - 1 {
+		per[i%p] = append(per[i%p], s.vp(i)...)
 	}
-	return n
+	return core.Pattern{PerProc: per}
+}
+
+// loads is core.ComputeLoads(s.pattern(p), bm) without the pattern: h sums
+// each processor's list lengths up to v, the last non-empty list, and k is
+// the top of one bank histogram, hist (len bm.NumBanks(), any contents).
+func (s Step) loads(p int, bm core.BankMap, hist []int) core.Loads {
+	v, _ := slices.BinarySearch(s.off, int32(len(s.addrs)))
+	l := core.Loads{N: len(s.addrs), Procs: p, Banks: len(hist)}
+	for r := range min(p, v) {
+		h := 0
+		for i := r; i < v; i += p {
+			h += int(s.off[i+1] - s.off[i])
+		}
+		l.MaxH = max(l.MaxH, h)
+	}
+	clear(hist)
+	for _, a := range s.addrs {
+		hist[bm.Bank(a)]++
+	}
+	for _, c := range hist {
+		l.MaxK = max(l.MaxK, c)
+	}
+	return l
 }
 
 // Program is a sequence of QRQW steps executed by V virtual processors.
@@ -94,10 +132,9 @@ type Program struct {
 
 // Time returns the QRQW PRAM time of the program: the sum of step costs.
 func (p Program) Time() int {
-	var pr core.Profiler
 	t := 0
 	for _, s := range p.Steps {
-		t += s.cost(&pr)
+		t += s.Cost()
 	}
 	return t
 }
@@ -112,8 +149,8 @@ func (p Program) Validate() error {
 		return fmt.Errorf("qrqw: program has V=%d virtual processors", p.V)
 	}
 	for i, s := range p.Steps {
-		if len(s.Accesses) != p.V {
-			return fmt.Errorf("qrqw: step %d has %d access lists, want V=%d", i, len(s.Accesses), p.V)
+		if n := max(len(s.off)-1, 0); n != p.V {
+			return fmt.Errorf("qrqw: step %d has %d access lists, want V=%d", i, n, p.V)
 		}
 	}
 	return nil
@@ -177,33 +214,31 @@ func Emulate(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, 
 	if bm == nil {
 		bm = core.InterleaveMap{Banks: m.Banks}
 	}
-	res := Result{QRQWTime: prog.Time(), Procs: m.Procs, V: prog.V}
+	res := Result{QRQWTime: prog.Time(), Procs: m.Procs, V: prog.V, PerStep: make([]float64, len(prog.Steps))}
+	hp := hists.Get().(*[]int)
+	defer hists.Put(hp)
+	*hp = slices.Grow((*hp)[:0], bm.NumBanks())[:bm.NumBanks()]
 	for si, st := range prog.Steps {
-		// Physical processor i issues the accesses of virtual processors
-		// i, i+p, i+2p, ...
-		per := make([][]uint64, m.Procs)
-		for vp, acc := range st.Accesses {
-			phys := vp % m.Procs
-			per[phys] = append(per[phys], acc...)
-		}
-		pt := core.Pattern{PerProc: per}
 		var cycles float64
 		switch mode {
 		case Simulate:
-			r, err := sim.Run(sim.Config{Machine: m, BankMap: bm}, pt)
+			r, err := sim.Run(sim.Config{Machine: m, BankMap: bm}, st.pattern(m.Procs))
 			if err != nil {
 				return Result{}, fmt.Errorf("qrqw: step %d: %w", si, err)
 			}
 			cycles = r.Cycles + m.L
 		default:
-			loads := core.ComputeLoads(pt, bm)
-			cycles = m.PredictDXBSP(loads)
+			cycles = m.PredictDXBSP(st.loads(m.Procs, bm, *hp))
 		}
-		res.PerStep = append(res.PerStep, cycles)
+		res.PerStep[si] = cycles
 		res.Cycles += cycles
 	}
 	return res, nil
 }
+
+// hists pools Emulate's bank histograms, so a warm Analytic emulation
+// allocates only the PerStep slice it returns.
+var hists = sync.Pool{New: func() any { return new([]int) }}
 
 // InevitableWorkOverhead returns d/(g*x) clamped below at 1: the factor by
 // which any emulation's work must exceed the QRQW work when the aggregate

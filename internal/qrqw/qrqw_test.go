@@ -11,7 +11,7 @@ import (
 
 func TestStepCost(t *testing.T) {
 	// 4 procs; two access location 5, one accesses 6, one does two ops.
-	st := Step{Accesses: [][]uint64{{5}, {5}, {6}, {7, 8}}}
+	st := NewStep([][]uint64{{5}, {5}, {6}, {7, 8}})
 	if got := st.MaxOps(); got != 2 {
 		t.Errorf("MaxOps = %d", got)
 	}
@@ -27,7 +27,7 @@ func TestStepCost(t *testing.T) {
 }
 
 func TestStepCostContentionDominates(t *testing.T) {
-	st := Step{Accesses: [][]uint64{{1}, {1}, {1}, {1}}}
+	st := NewStep([][]uint64{{1}, {1}, {1}, {1}})
 	if got := st.Cost(); got != 4 {
 		t.Errorf("Cost = %d, want contention 4", got)
 	}
@@ -37,8 +37,8 @@ func TestProgramTimeWork(t *testing.T) {
 	p := Program{
 		V: 4,
 		Steps: []Step{
-			{Accesses: [][]uint64{{1}, {1}, {2}, {3}}}, // cost 2
-			{Accesses: [][]uint64{{1}, {2}, {3}, {4}}}, // cost 1
+			NewStep([][]uint64{{1}, {1}, {2}, {3}}), // cost 2
+			NewStep([][]uint64{{1}, {2}, {3}, {4}}), // cost 1
 		},
 	}
 	if p.Time() != 3 {
@@ -53,7 +53,7 @@ func TestProgramTimeWork(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	bad := Program{V: 3, Steps: []Step{{Accesses: [][]uint64{{1}}}}}
+	bad := Program{V: 3, Steps: []Step{NewStep([][]uint64{{1}})}}
 	if err := bad.Validate(); err == nil {
 		t.Error("mismatched step accepted")
 	}
@@ -290,22 +290,26 @@ func TestStepTimeBoundHolds(t *testing.T) {
 func TestContentionMatchesMap(t *testing.T) {
 	g := rng.New(11)
 	prog := Program{V: 64}
+	var lists [][][]uint64
 	for s := 0; s < 40; s++ {
-		st := Step{Accesses: make([][]uint64, prog.V)}
+		acc := make([][]uint64, prog.V)
 		span := uint64(1) << (2 * (s % 20)) // dense and sparse spans
-		for vp := range st.Accesses {
+		for vp := range acc {
 			for k := g.Intn(4); k > 0; k-- {
-				st.Accesses[vp] = append(st.Accesses[vp], (1<<50)+g.Uint64n(span))
+				acc[vp] = append(acc[vp], (1<<50)+g.Uint64n(span))
 			}
 		}
-		prog.Steps = append(prog.Steps, st)
+		lists = append(lists, acc)
 	}
-	prog.Steps = append(prog.Steps, Step{Accesses: make([][]uint64, prog.V)}) // empty step
+	lists = append(lists, make([][]uint64, prog.V)) // empty step
+	for _, acc := range lists {
+		prog.Steps = append(prog.Steps, NewStep(acc))
+	}
 	want := make([]int, len(prog.Steps))
 	time, maxC := 0, 0
 	for i, st := range prog.Steps {
 		counts := map[uint64]int{}
-		for _, acc := range st.Accesses {
+		for _, acc := range lists[i] {
 			for _, a := range acc {
 				counts[a]++
 				want[i] = max(want[i], counts[a])
