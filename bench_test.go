@@ -112,28 +112,6 @@ func BenchmarkAblationSimVsModel(b *testing.B) {
 	b.ReportMetric(ratio, "sim/model")
 }
 
-// BenchmarkAblationCombining measures what combining at the banks (which
-// the paper's machines do not have) would buy on a maximum-contention
-// pattern.
-func BenchmarkAblationCombining(b *testing.B) {
-	m := core.J90()
-	pt := core.NewPattern(patterns.AllSame(1<<12, 3), m.Procs)
-	var speedup float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plain, err := sim.Run(sim.Config{Machine: m}, pt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		comb, err := sim.Run(sim.Config{Machine: m, Combining: true}, pt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = plain.Cycles / comb.Cycles
-	}
-	b.ReportMetric(speedup, "combining-speedup")
-}
-
 // BenchmarkAblationOrder measures the effect of injection order: the same
 // multiset of addresses issued in sorted (bank-bursty) versus shuffled
 // order.
@@ -287,13 +265,13 @@ func BenchmarkSimScatter64KSections(b *testing.B) {
 }
 
 // BenchmarkSimScatter64KDRAM runs the same scatter under the DRAM
-// discipline with bank groups, covering the row-buffer lookup and the
-// group-bus gating on the hot path.
+// discipline at its defaults (one open row per bank), covering the
+// lockstep walk's variable-service path: the open-row lookup and the
+// hit/miss service choice.
 func BenchmarkSimScatter64KDRAM(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)
-	cfg := sim.Config{Machine: m,
-		Bank: sim.BankConfig{Discipline: sim.DRAM, Groups: 64, GroupGap: 0.5}}
+	cfg := sim.Config{Machine: m, Bank: sim.BankConfig{Discipline: sim.DRAM}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -125,12 +125,14 @@ func TestBatcherEfficacyCounters(t *testing.T) {
 	fast2.Window = 4 // windowed lanes are fast-path now
 	gpu := batcherTestConfig(2, 4)
 	gpu.Bank = sim.BankConfig{Discipline: sim.GPUShared} // so are warps
-	grouped := batcherTestConfig(2, 4)
-	grouped.Bank = sim.BankConfig{Discipline: sim.DRAM, Groups: 2}
+	dram := batcherTestConfig(2, 4)
+	dram.Bank = sim.BankConfig{Discipline: sim.DRAM} // and DRAM
+	cached := batcherTestConfig(2, 4)
+	cached.Bank = sim.BankConfig{CacheLines: 2}
 
 	run := func() {
 		var wg sync.WaitGroup
-		for _, cfg := range []sim.Config{fast1, fast2, gpu, grouped} {
+		for _, cfg := range []sim.Config{fast1, fast2, gpu, dram, cached} {
 			wg.Add(1)
 			go func(cfg sim.Config) {
 				defer wg.Done()
@@ -146,8 +148,8 @@ func TestBatcherEfficacyCounters(t *testing.T) {
 
 	out := omExport(t, o)
 	for _, want := range []string{
-		"dxbsp_batch_fast_lanes_total 3",
-		`dxbsp_batch_fallback_lanes_total{reason="dram-groups"} 1`,
+		"dxbsp_batch_fast_lanes_total 4",
+		`dxbsp_batch_fallback_lanes_total{reason="row-cache"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %q:\n%s", want, out)

@@ -198,8 +198,11 @@ func cacheKey(cfg sim.Config, pt core.Pattern) (string, bool) {
 // lines, bhd the hit delay, brs log2 of the row size in words), and
 // non-FIFO disciplines append their sub-config after it — so every key
 // minted before the discipline API exists unchanged, and the checkpoint
-// journals and memo entries keyed under it stay valid.
-// TestConfigPrefixCompat pins the exact legacy strings.
+// journals and memo entries keyed under it stay valid. Knobs the
+// simulator has since dropped keep their historical constant spelling
+// (comb=false; Groups:0 GroupGap:0 in the bank sub-config), so keys of
+// the configs that remain do not move. TestConfigPrefixCompat pins the
+// exact strings.
 func configPrefix(cfg sim.Config) (string, bool) {
 	bmKey, ok := bankMapKey(cfg.BankMap)
 	if !ok {
@@ -210,14 +213,17 @@ func configPrefix(cfg sim.Config) (string, bool) {
 		brs = bits.TrailingZeros(uint(cfg.Bank.RowWords))
 	}
 	ext := ""
-	if cfg.Bank.Discipline != sim.FIFO {
-		// BankConfig is all scalar fields, so %+v is a complete fingerprint.
-		ext = fmt.Sprintf("disc=%s|bank=%+v|", cfg.Bank.Discipline, cfg.Bank)
+	if b := cfg.Bank; b.Discipline != sim.FIFO {
+		// Every BankConfig field, in the order and format %+v printed
+		// them when the struct still had Groups and GroupGap.
+		ext = fmt.Sprintf("disc=%s|bank={Discipline:%s CacheLines:%d HitDelay:%g RowWords:%d MissDelay:%g Groups:0 GroupGap:0 RegWindow:%g RegBudget:%d WarpSize:%d}|",
+			b.Discipline, b.Discipline, b.CacheLines, b.HitDelay, b.RowWords, b.MissDelay,
+			b.RegWindow, b.RegBudget, b.WarpSize)
 	}
 	// Machine is all scalar fields, so %+v is a complete fingerprint.
-	return fmt.Sprintf("m=%+v|bm=%s|w=%d|comb=%t|nd=%g|sect=%t|bcl=%d|bhd=%g|brs=%d|%spt=",
+	return fmt.Sprintf("m=%+v|bm=%s|w=%d|comb=false|nd=%g|sect=%t|bcl=%d|bhd=%g|brs=%d|%spt=",
 		cfg.Machine, bmKey,
-		cfg.Window, cfg.Combining, cfg.NetDelay, cfg.UseSections,
+		cfg.Window, cfg.NetDelay, cfg.UseSections,
 		cfg.Bank.CacheLines, cfg.Bank.HitDelay, brs, ext), true
 }
 

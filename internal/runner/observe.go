@@ -90,7 +90,6 @@ type contribution struct {
 	bankWait    float64 // Σ (service start − arrival) over bank requests
 	sectWait    float64 // Σ (forward start − arrival) over section passes
 	windowStall float64 // Σ blocked time across processors
-	combined    int     // requests satisfied by another request's service
 	queuedBank  int     // bank services that started from the queue
 
 	posLoad  [posBuckets]float64 // services per relative bank position
@@ -117,11 +116,7 @@ func (o *Observer) RunStart(cfg sim.Config, pt core.Pattern) sim.RunProbe {
 
 // runCollector gathers one simulation run's events. It reconstructs
 // per-request waiting time from the arrival/start hook pairs: each bank
-// keeps a FIFO of arrival times, popped as services start. Under
-// combining this pairing is approximate — extractAddr removes matching
-// requests from the middle of the bank queue, while the collector pops in
-// FIFO order — so combined-run wait totals are an estimate; everything
-// else is exact.
+// keeps a FIFO of arrival times, popped as services start.
 type runCollector struct {
 	o     *Observer
 	cfg   sim.Config
@@ -197,21 +192,18 @@ func (rc *runCollector) BankArrive(bank int, now float64, depth int) {
 	}
 }
 
-func (rc *runCollector) BankStart(bank int, now float64, service, stall float64, rowHit, queued bool, combined int) {
+func (rc *runCollector) BankStart(bank int, now float64, service, stall float64, rowHit, queued bool) {
 	p := rc.bucket(bank)
-	rc.c.posLoad[p] += float64(1 + combined)
+	rc.c.posLoad[p]++
 	rc.c.posBusy[p] += service
 	if queued {
 		rc.c.queuedBank++
 	}
-	rc.c.combined += combined
-	for i := 0; i <= combined; i++ {
-		if rc.bankHead[bank] < len(rc.bankArr[bank]) {
-			if w := now - rc.bankArr[bank][rc.bankHead[bank]]; w > 0 {
-				rc.c.bankWait += w
-			}
-			rc.bankHead[bank]++
+	if rc.bankHead[bank] < len(rc.bankArr[bank]) {
+		if w := now - rc.bankArr[bank][rc.bankHead[bank]]; w > 0 {
+			rc.c.bankWait += w
 		}
+		rc.bankHead[bank]++
 	}
 }
 
@@ -388,7 +380,9 @@ func (o *Observer) Registry() *metrics.Registry {
 	throttleC := reg.Counter("dxbsp_sim_throttle_stalls", "bank services deferred by bandwidth regulation")
 	throttleCyC := reg.Counter("dxbsp_sim_throttle_stall_cycles", "time bank services waited on regulation windows")
 	replayC := reg.Counter("dxbsp_sim_warp_replays", "GPU shared-memory bank-conflict warp replays")
-	combinedC := reg.Counter("dxbsp_sim_combined_requests", "requests satisfied by combining")
+	// The simulator no longer combines requests; the series stays
+	// registered at 0 so the export's bytes do not move.
+	reg.Counter("dxbsp_sim_combined_requests", "requests satisfied by combining")
 	queuedC := reg.Counter("dxbsp_sim_queued_bank_starts", "bank services that waited in the queue")
 	busyC := reg.Counter("dxbsp_sim_bank_busy_cycles", "total bank busy time")
 	bankWaitC := reg.Counter("dxbsp_sim_wait_bank_cycles", "time requests spent queued at banks")
@@ -408,7 +402,6 @@ func (o *Observer) Registry() *metrics.Registry {
 		throttleC.Add(float64(c.res.ThrottleStalls))
 		throttleCyC.Add(c.res.ThrottleStallCycles)
 		replayC.Add(float64(c.res.WarpReplays))
-		combinedC.Add(float64(c.combined))
 		queuedC.Add(float64(c.queuedBank))
 		busyC.Add(c.res.BankBusy)
 		bankWaitC.Add(c.bankWait)

@@ -146,7 +146,7 @@ func TestObserverIgnoresIncompleteRuns(t *testing.T) {
 	pt := core.NewPattern([]uint64{1, 2, 3, 4}, 4)
 	rp := o.RunStart(cfg, pt)
 	rp.BankArrive(0, 1, 0)
-	rp.BankStart(0, 1, 8, 0, false, false, 0)
+	rp.BankStart(0, 1, 8, 0, false, false)
 	// No RunDone: simulate a cancellation mid-run.
 	if o.Runs() != 0 {
 		t.Errorf("incomplete run committed a contribution")

@@ -218,7 +218,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	pt := testPattern(256, 1)
 	variants := []sim.Config{
 		{Machine: base.Machine, Window: 4},
-		{Machine: base.Machine, Combining: true},
 		{Machine: base.Machine, NetDelay: 9},
 		{Machine: base.Machine, UseSections: true},
 		{Machine: base.Machine, Bank: sim.BankConfig{CacheLines: 2}},

@@ -21,7 +21,7 @@ const (
 	// threshold; small points keep the simulator's exact answer.
 	SurrogateAuto
 	// SurrogateAlways routes every eligible request. Ineligible
-	// configurations (DRAM, GPU, combining, sections) still simulate.
+	// configurations (DRAM, GPU, row caches, sections) still simulate.
 	SurrogateAlways
 )
 

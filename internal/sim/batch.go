@@ -22,8 +22,8 @@ import (
 // and TestWideWindowMatchesOpenLoop.
 //
 // The eligible regime covers the open- and closed-loop (Window > 0)
-// FIFO bank, the Regulated bank, row-buffer DRAM without bank groups,
-// open-loop FIFO behind network sections, and GPUShared warps. A
+// FIFO bank, the Regulated bank, row-buffer DRAM, open-loop FIFO
+// behind network sections, and GPUShared warps. A
 // closed-loop run advances in lockstep while no processor is
 // window-blocked; at the first stall it finishes in a replay of the
 // event engine's remaining events (runReplay). Warps never follow the
@@ -148,7 +148,7 @@ type svcClass uint8
 
 const (
 	clFIFO svcClass = iota // constant-d FIFO service
-	clDRAM                 // single open row per bank, no bank groups
+	clDRAM                 // single open row per bank
 	clReg                  // bandwidth-regulated bank
 	clGPU                  // GPUShared: constant-d FIFO, warp-synchronous issue
 )
@@ -234,49 +234,35 @@ func bankOf(kind mapKind, arg uint64, bm core.BankMap, addr uint64) int {
 }
 
 // BatchEligible reports whether cfg takes the lockstep walk: open- or
-// closed-loop FIFO, Regulated, ungrouped single-row DRAM, GPUShared, or
-// open-loop FIFO behind network sections, with no combining and no
-// probe. It is RunContext's routing rule: eligible configs run on the
-// lockstep walk, the rest on the event engine. Equivalent to
+// closed-loop FIFO without row caches, Regulated, DRAM, GPUShared, or
+// open-loop FIFO behind network sections, with no probe. It is
+// RunContext's routing rule: eligible configs run on the lockstep walk,
+// the rest on the event engine. Equivalent to
 // BatchFallbackReason(cfg) == "".
 func BatchEligible(cfg Config) bool {
 	return BatchFallbackReason(cfg) == ""
 }
 
 // BatchFallbackReason returns "" when cfg is lockstep-eligible, or a
-// short stable label naming the structural reason it is not — the label
-// set the runner's batch-efficacy metrics report. It is deterministic on
-// raw and normalized configs alike (the runner's Batcher classifies raw
-// configs), so the one default it must anticipate is DRAM's CacheLines,
-// where unset means one open row. Sections are eligible only in front of
-// plain open-loop FIFO banks; every other sectioned config is labelled
-// "sections".
+// short stable label naming the structural reason it is not — "probe",
+// "sections" or "row-cache", the label set the runner's batch-efficacy
+// metrics report. It is deterministic on raw and normalized configs
+// alike (the runner's Batcher classifies raw configs). Sections are
+// eligible only in front of plain open-loop FIFO banks; every other
+// sectioned config is labelled "sections". DRAM, Regulated and
+// GPUShared are fully eligible: DRAM keeps one open row per bank, the
+// window accounting is per-bank state, and warps replay on runWarps'
+// tree.
 func BatchFallbackReason(cfg Config) string {
-	if cfg.Combining {
-		return "combining"
-	}
-	if cfg.Probe != nil {
+	switch {
+	case cfg.Probe != nil:
 		return "probe"
-	}
-	if cfg.UseSections && cfg.Machine.Sections > 1 &&
-		(cfg.Window > 0 || cfg.Bank.Discipline != FIFO || cfg.Bank.CacheLines > 0) {
+	case cfg.UseSections && cfg.Machine.Sections > 1 &&
+		(cfg.Window > 0 || cfg.Bank.Discipline != FIFO || cfg.Bank.CacheLines > 0):
 		return "sections"
+	case cfg.Bank.Discipline == FIFO && cfg.Bank.CacheLines > 0:
+		return "row-cache"
 	}
-	switch cfg.Bank.Discipline {
-	case FIFO:
-		if cfg.Bank.CacheLines > 0 {
-			return "row-cache"
-		}
-	case DRAM:
-		if cfg.Bank.Groups > 0 {
-			return "dram-groups"
-		}
-		if cfg.Bank.CacheLines > 1 {
-			return "dram-multirow"
-		}
-	}
-	// Regulated and GPUShared are fully eligible: the window accounting
-	// is per-bank state, and warps replay on runWarps' tree.
 	return ""
 }
 

@@ -14,12 +14,11 @@ import (
 // must equal — field for field — the event engine's run of it
 // (NewEngine().Run: Run itself routes eligible configs through the
 // lockstep walk under test). This covers the whole lockstep regime
-// (open- and closed-loop FIFO, ungrouped single-row DRAM, Regulated —
-// including runs that window-stall into the replay — GPUShared warps,
-// and open-loop FIFO behind network sections) and the configs only the
-// event engine serves (grouped or multi-row DRAM, row-buffered FIFO,
-// windowed sections), over the same address-pattern shapes
-// FuzzSimVsReference draws.
+// (open- and closed-loop FIFO, DRAM on integer and quarter-cycle
+// delays, Regulated — including runs that window-stall into the replay —
+// GPUShared warps, and open-loop FIFO behind network sections) and the
+// row-buffered FIFO only the event engine serves, over the same
+// address-pattern shapes FuzzSimVsReference draws.
 //
 // Every plain FIFO config is also run behind network sections, keeping
 // its window: a sectioned copy with its own section count and gap,
@@ -68,21 +67,16 @@ func FuzzBatchVsScalar(f *testing.F) {
 					HitDelay:   float64(1 + rg.Intn(3)),
 					RowWords:   1 << rg.Intn(7),
 				}
-			case 3: // row-buffer DRAM with bank groups: event engine only
-				groups := 1 + rg.Intn(4)
-				if groups > banks {
-					groups = banks
-				}
+			case 3: // DRAM on quarter-cycle delays, misses sometimes
+				// cheaper than hits: the lockstep DRAM class off the
+				// integer grid
 				bank = BankConfig{
 					Discipline: DRAM,
-					CacheLines: 1 + rg.Intn(2),
-					HitDelay:   float64(1 + rg.Intn(3)),
-					MissDelay:  float64(1 + rg.Intn(16)),
+					HitDelay:   float64(1+rg.Intn(12)) / 4,
+					MissDelay:  float64(1+rg.Intn(64)) / 4,
 					RowWords:   1 << rg.Intn(7),
-					Groups:     groups,
-					GroupGap:   float64(rg.Intn(3)),
 				}
-			case 4: // ungrouped single-row DRAM: the lockstep DRAM class
+			case 4: // DRAM on integer delays: the lockstep DRAM class
 				bank = BankConfig{
 					Discipline: DRAM,
 					CacheLines: rg.Intn(2), // 0 defaults to 1: both spellings eligible

@@ -15,9 +15,9 @@ import (
 // discipline/window variants × expansion x ∈ {1,8} × d ∈ {2,6,14,30} ×
 // g ∈ {1,2}, the axes a sweep varies, crossed with every
 // lockstep class — open- and closed-loop FIFO (including Window=1,
-// which stalls almost immediately), eligible and ineligible DRAM,
-// windowed Regulated, GPUShared warps — plus the config only the event
-// engine serves (multi-row DRAM).
+// which stalls almost immediately), open- and closed-loop DRAM,
+// windowed Regulated, GPUShared warps — plus the FIFO row cache, which
+// only the event engine serves.
 func batchGoldenConfigs() []Config {
 	variants := []struct {
 		bank   BankConfig
@@ -28,7 +28,7 @@ func batchGoldenConfigs() []Config {
 		{BankConfig{}, 1},
 		{BankConfig{Discipline: DRAM, HitDelay: 1, MissDelay: 8, RowWords: 32}, 0},
 		{BankConfig{Discipline: DRAM, HitDelay: 2, MissDelay: 12, RowWords: 16}, 6},
-		{BankConfig{Discipline: DRAM, CacheLines: 2, HitDelay: 1, MissDelay: 8, RowWords: 32}, 0},
+		{BankConfig{CacheLines: 2, HitDelay: 1, RowWords: 32}, 0},
 		{BankConfig{Discipline: Regulated, RegWindow: 16, RegBudget: 2}, 3},
 		{BankConfig{Discipline: GPUShared, WarpSize: 8}, 0},
 	}
@@ -292,10 +292,10 @@ func TestWideWindowMatchesOpenLoop(t *testing.T) {
 // BatchEligible(cfg), by the path that actually runs: under a context
 // cancelled up front the lockstep walk fails at its first poll with a
 // "batch cancelled" error and the event engine fails after its first
-// cancelCheckEvents events. Open- and closed-loop eligible configs,
-// GPUShared and open-loop FIFO sections take the lockstep walk; probes,
-// windowed or non-FIFO sections, combining, row caches, DRAM bank groups
-// and multi-row DRAM stay on the event engine.
+// cancelCheckEvents events. Open- and closed-loop FIFO, Regulated and
+// DRAM, GPUShared and open-loop FIFO sections take the lockstep walk;
+// probes, windowed or non-FIFO sections and FIFO row caches stay on the
+// event engine.
 func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 	m := core.Machine{Name: "r", Procs: 4, Banks: 32, D: 4, G: 1, L: 2, Sections: 4, SectionGap: 1}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -317,11 +317,8 @@ func TestRunRoutesOnlyOpenLoopEligible(t *testing.T) {
 		{"sections", Config{Machine: m, UseSections: true}, true},
 		{"sections windowed", Config{Machine: m, UseSections: true, Window: 2}, false},
 		{"sections regulated", Config{Machine: m, UseSections: true, Bank: BankConfig{Discipline: Regulated}}, false},
-		{"combining", Config{Machine: m, Combining: true}, false},
 		{"row cache", Config{Machine: m, Bank: BankConfig{CacheLines: 1}}, false},
 		{"gpu", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared}}, true},
-		{"dram groups", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 4}}, false},
-		{"dram multirow", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}, false},
 	} {
 		if got := BatchEligible(tc.cfg); got != tc.want {
 			t.Errorf("%s: BatchEligible = %t, want %t", tc.name, got, tc.want)

@@ -16,12 +16,6 @@ type Config struct {
 	// is hidden by vectorization, as on the Cray).
 	Window int
 
-	// Combining makes banks satisfy all queued requests for the same
-	// address with a single d-cycle service. The machines modeled by the
-	// paper do not combine (the paper explicitly excludes Ranade-style
-	// combining); this switch exists for the ablation bench.
-	Combining bool
-
 	// NetDelay is the one-way transit time between a processor and a bank.
 	// It defaults to Machine.L/2 and affects only latency, not bandwidth.
 	NetDelay float64
@@ -104,8 +98,8 @@ type Result struct {
 	Cycles float64
 	// Requests is the number of requests simulated.
 	Requests int
-	// BankServices is the number of bank service occupations; equal to
-	// Requests unless combining merged some.
+	// BankServices is the number of bank service occupations; every
+	// request is served once, so it equals Requests.
 	BankServices int
 	// MaxBankServed is the largest number of requests handled by one bank.
 	MaxBankServed int

@@ -99,7 +99,6 @@ func TestRunRejectsNonFiniteDelays(t *testing.T) {
 			{"NetDelay", Config{Machine: m, NetDelay: v}},
 			{"Bank.HitDelay", Config{Machine: m, Bank: BankConfig{CacheLines: 1, HitDelay: v}}},
 			{"Bank.MissDelay", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, MissDelay: v}}},
-			{"Bank.GroupGap", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 2, GroupGap: v}}},
 			{"Bank.RegWindow", Config{Machine: m, Bank: BankConfig{Discipline: Regulated, RegWindow: v}}},
 		} {
 			name := fmt.Sprintf("%s=%g", tc.field, v)
@@ -137,6 +136,7 @@ func TestRunReturnsConfigError(t *testing.T) {
 		{"negative cache lines", Config{Machine: m, Bank: BankConfig{CacheLines: -1}}, pt, "Bank.CacheLines"},
 		{"bank map size", Config{Machine: m, BankMap: core.InterleaveMap{Banks: 16}}, pt, "BankMap"},
 		{"dram miss delay", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, MissDelay: -1}}, pt, "Bank.MissDelay"},
+		{"dram two rows", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}, pt, "Bank.CacheLines"},
 		{"regulated budget", Config{Machine: m, Bank: BankConfig{Discipline: Regulated, RegBudget: -1}}, pt, "Bank.RegBudget"},
 		{"bad machine", Config{Machine: core.Machine{Name: "z", Procs: 4, Banks: 0, D: 4, G: 1}}, pt, ""},
 		{"too many streams", Config{Machine: m}, core.NewPattern(seqAddrs(8), 8), ""},

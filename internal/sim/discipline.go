@@ -27,10 +27,8 @@ const (
 	FIFO Discipline = iota
 
 	// DRAM is a row-buffer DRAM model after Kim et al.: each bank keeps
-	// Bank.CacheLines open rows; a hit is serviced in Bank.HitDelay
-	// cycles, a row conflict in Bank.MissDelay. Banks may additionally be
-	// partitioned into Bank.Groups bank groups whose shared internal bus
-	// admits one service start per Bank.GroupGap cycles.
+	// one open row; a hit is serviced in Bank.HitDelay cycles, a row
+	// conflict in Bank.MissDelay.
 	DRAM
 
 	// Regulated is a bandwidth-regulated bank after Sullivan et al.: each
@@ -44,7 +42,7 @@ const (
 	// issue — each processor injects Bank.WarpSize consecutive requests as
 	// one warp and issues the next warp only after every lane of the
 	// current one has completed — and bank conflicts serialized as warp
-	// replays. Requires the open loop (Window == 0) and no Combining.
+	// replays. Requires the open loop (Window == 0).
 	GPUShared
 )
 
@@ -99,7 +97,7 @@ type BankConfig struct {
 	// CacheLines is the number of rows each bank keeps open (LRU).
 	// Under FIFO, 0 disables row buffers entirely (the paper's machines)
 	// and > 0 enables the HS93 cached-DRAM ablation. Under DRAM it
-	// defaults to 1 (a single open row per bank).
+	// defaults to 1, the only value DRAM accepts (one open row per bank).
 	CacheLines int
 
 	// HitDelay is the service time of a row-buffer hit (FIFO with
@@ -115,15 +113,6 @@ type BankConfig struct {
 	// MissDelay is the DRAM row-conflict service time. 0 means unset and
 	// defaults to Machine.D.
 	MissDelay float64
-
-	// Groups partitions the banks into that many bank groups (DRAM only);
-	// 0 disables grouping. Banks are grouped contiguously,
-	// ceil(Banks/Groups) per group.
-	Groups int
-
-	// GroupGap is the minimum spacing between service starts within one
-	// bank group (DRAM only; meaningful when Groups > 0).
-	GroupGap float64
 
 	// RegWindow is the regulation window length in cycles (Regulated
 	// only). 0 means unset and defaults to 4*Machine.D.
@@ -198,15 +187,8 @@ func (c Config) validateBank() error {
 	if b.RowWords < 0 || (b.RowWords > 0 && b.RowWords&(b.RowWords-1) != 0) {
 		return &ConfigError{Field: "Bank.RowWords", Reason: fmt.Sprintf("must be 0 (default) or a power of two, got %d", b.RowWords)}
 	}
-	if b.Discipline != DRAM {
-		switch {
-		case b.MissDelay != 0:
-			return &ConfigError{Field: "Bank.MissDelay", Reason: "only meaningful for the DRAM discipline"}
-		case b.Groups != 0:
-			return &ConfigError{Field: "Bank.Groups", Reason: "only meaningful for the DRAM discipline"}
-		case b.GroupGap != 0:
-			return &ConfigError{Field: "Bank.GroupGap", Reason: "only meaningful for the DRAM discipline"}
-		}
+	if b.Discipline != DRAM && b.MissDelay != 0 {
+		return &ConfigError{Field: "Bank.MissDelay", Reason: "only meaningful for the DRAM discipline"}
 	}
 	if b.Discipline != Regulated && (b.RegWindow != 0 || b.RegBudget != 0) {
 		return &ConfigError{Field: "Bank.RegWindow", Reason: "regulation knobs are only meaningful for the Regulated discipline"}
@@ -217,14 +199,10 @@ func (c Config) validateBank() error {
 	switch b.Discipline {
 	case DRAM:
 		switch {
+		case b.CacheLines != 1:
+			return &ConfigError{Field: "Bank.CacheLines", Reason: fmt.Sprintf("DRAM keeps one open row per bank: must be 0 (default) or 1, got %d", b.CacheLines)}
 		case !finiteNonNeg(b.MissDelay):
 			return &ConfigError{Field: "Bank.MissDelay", Reason: fmt.Sprintf("must be finite and >= 0, got %g", b.MissDelay)}
-		case b.Groups < 0 || b.Groups > c.Machine.Banks:
-			return &ConfigError{Field: "Bank.Groups", Reason: fmt.Sprintf("must be in [0, Banks=%d], got %d", c.Machine.Banks, b.Groups)}
-		case !finiteNonNeg(b.GroupGap):
-			return &ConfigError{Field: "Bank.GroupGap", Reason: fmt.Sprintf("must be finite and >= 0, got %g", b.GroupGap)}
-		case b.GroupGap > 0 && b.Groups == 0:
-			return &ConfigError{Field: "Bank.GroupGap", Reason: "requires Bank.Groups > 0"}
 		}
 	case Regulated:
 		switch {
@@ -243,8 +221,6 @@ func (c Config) validateBank() error {
 			return &ConfigError{Field: "Bank.WarpSize", Reason: fmt.Sprintf("must be > 0, got %d", b.WarpSize)}
 		case c.Window != 0:
 			return &ConfigError{Field: "Window", Reason: "GPUShared issue is warp-synchronous; Window must be 0"}
-		case c.Combining:
-			return &ConfigError{Field: "Combining", Reason: "not supported under the GPUShared discipline"}
 		case c.UseSections && c.Machine.Sections > 1:
 			return &ConfigError{Field: "UseSections", Reason: "network sections are not modeled under the GPUShared discipline"}
 		}

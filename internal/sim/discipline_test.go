@@ -87,32 +87,6 @@ func TestDRAMRowHitAndConflictCounting(t *testing.T) {
 	}
 }
 
-// Bank-group gating: four banks in one group with a 2-cycle start gap.
-// Four simultaneous arrivals to distinct banks start at 0, 2, 4, 6 instead
-// of all at 0, so the last of the 4-cycle services finishes at 10.
-func TestDRAMBankGroupGating(t *testing.T) {
-	m := core.Machine{Name: "grp", Procs: 4, Banks: 4, D: 4, G: 1, L: 0}
-	pt := core.NewPattern([]uint64{0, 1, 2, 3}, 4)
-
-	grouped := Config{Machine: m, Bank: BankConfig{Discipline: DRAM, MissDelay: 4, Groups: 1, GroupGap: 2}}
-	rg, err := Run(grouped, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rg.Cycles != 10 {
-		t.Errorf("grouped cycles = %g, want 10", rg.Cycles)
-	}
-
-	flat := Config{Machine: m, Bank: BankConfig{Discipline: DRAM, MissDelay: 4}}
-	rf, err := Run(flat, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.Cycles != 4 {
-		t.Errorf("ungrouped cycles = %g, want 4", rf.Cycles)
-	}
-}
-
 // Regulated budget math, hand-traced: one bank, 2-cycle services, budget 2
 // per 10-cycle window, five back-to-back requests. Services 1 and 2 run at
 // 0 and 2; service 3 exhausts window 0 and is deferred to 10 (a 6-cycle
@@ -208,19 +182,15 @@ func TestValidateBankErrorFields(t *testing.T) {
 		{"negative hit", "Bank.HitDelay", Config{Machine: m, Bank: BankConfig{CacheLines: 1, HitDelay: -1}}},
 		{"non-power-of-two row", "Bank.RowWords", Config{Machine: m, Bank: BankConfig{CacheLines: 1, RowWords: 3}}},
 		{"fifo miss delay", "Bank.MissDelay", Config{Machine: m, Bank: BankConfig{MissDelay: 2}}},
-		{"fifo groups", "Bank.Groups", Config{Machine: m, Bank: BankConfig{Groups: 2}}},
-		{"fifo group gap", "Bank.GroupGap", Config{Machine: m, Bank: BankConfig{GroupGap: 1}}},
 		{"fifo regulation", "Bank.RegWindow", Config{Machine: m, Bank: BankConfig{RegWindow: 4}}},
 		{"fifo warp size", "Bank.WarpSize", Config{Machine: m, Bank: BankConfig{WarpSize: 8}}},
-		{"gap without groups", "Bank.GroupGap", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, GroupGap: 1}}},
-		{"groups over banks", "Bank.Groups", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 99}}},
+		{"dram two rows", "Bank.CacheLines", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, CacheLines: 2}}},
 		{"negative miss", "Bank.MissDelay", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, MissDelay: -1}}},
 		{"regulated cache", "Bank.CacheLines", Config{Machine: m, Bank: BankConfig{Discipline: Regulated, CacheLines: 1}}},
 		{"negative window", "Bank.RegWindow", Config{Machine: m, Bank: BankConfig{Discipline: Regulated, RegWindow: -1}}},
 		{"negative budget", "Bank.RegBudget", Config{Machine: m, Bank: BankConfig{Discipline: Regulated, RegBudget: -1}}},
 		{"gpu cache", "Bank.CacheLines", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared, CacheLines: 1}}},
 		{"gpu window", "Window", Config{Machine: m, Window: 4, Bank: BankConfig{Discipline: GPUShared}}},
-		{"gpu combining", "Combining", Config{Machine: m, Combining: true, Bank: BankConfig{Discipline: GPUShared}}},
 		{"gpu sections", "UseSections", Config{Machine: sectioned, UseSections: true, Bank: BankConfig{Discipline: GPUShared}}},
 		{"gpu negative warp", "Bank.WarpSize", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared, WarpSize: -1}}},
 	} {

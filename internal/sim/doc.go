@@ -11,10 +11,9 @@
 //     network sections, each of which can accept at most one request every
 //     SectionGap cycles (this finite section bandwidth reproduces the
 //     paper's "version (c)" congestion anomaly);
-//   - x*p memory banks, each a server that is busy for a service time per
-//     request (optionally combining simultaneous requests to the same
-//     address, which the paper's machines do NOT do — the switch exists for
-//     the ablation study);
+//   - x*p memory banks, each a FIFO server that is busy for a service time
+//     per request (the paper's machines do not combine requests to the
+//     same address, and neither does the simulator);
 //   - responses that return to the issuing processor after the same transit
 //     delay, closing the loop when a per-processor window of outstanding
 //     requests is configured.
@@ -30,9 +29,9 @@
 //   - FIFO (the zero value): the paper's bank — every access holds the bank
 //     for d cycles, in arrival order. With CacheLines > 0 it becomes the
 //     Hsu–Smith cached-DRAM ablation (row-buffer hits served in HitDelay).
-//   - DRAM: an explicit row-buffer model — open-row hits cost HitDelay, row
-//     conflicts cost MissDelay, and banks optionally share per-group issue
-//     bandwidth (Groups/GroupGap), as in DDR bank groups.
+//   - DRAM: an explicit row-buffer model after Kim et al. — each bank
+//     keeps one open row; open-row hits cost HitDelay, row conflicts cost
+//     MissDelay.
 //   - Regulated: each bank may serve at most RegBudget requests per
 //     RegWindow cycles; overdraft defers service to the next window. This
 //     models bandwidth regulation / QoS throttling at the controller.
@@ -44,21 +43,20 @@
 // a discipline tag, so adding disciplines costs the FIFO hot path nothing;
 // TestEngineReuseZeroAllocs and the SimScatter64K benchmark gate pin this.
 // RunReference implements the same machine independently as a per-clock
-// oracle — every discipline, windows, sections, combining, bank groups
-// and dyadic fractional delays — and differential tests and fuzzing hold
-// both engines to its full Result.
+// oracle — every discipline, windows, sections and dyadic fractional
+// delays — and differential tests and fuzzing hold both engines to its
+// full Result.
 //
 // # Entry points
 //
-// Run simulates one superstep; RunSupersteps chains several with a barrier
-// between each. Both are thin wrappers over their context variants
-// (RunContext, RunSuperstepsContext), which add cooperative cancellation.
-// RunContext picks the path by one rule, BatchEligible(cfg): eligible
-// configs — open- or closed-loop FIFO, Regulated, single-row DRAM,
-// GPUShared warps and open-loop FIFO sections — run on a pooled lockstep
-// walk, every other config on a pooled event Engine. Both paths are
-// byte-identical to the event engine and allocate nothing in the steady
-// state.
+// Run simulates one superstep; it is RunContext without cooperative
+// cancellation. RunContext picks the path by one rule,
+// BatchEligible(cfg): eligible configs — open- or closed-loop FIFO,
+// Regulated, DRAM, GPUShared warps and open-loop FIFO sections — run on
+// a pooled lockstep walk, every other config (probes, FIFO row caches,
+// windowed or non-FIFO sections) on a pooled event Engine. Both paths
+// are byte-identical to the event engine and allocate nothing in the
+// steady state.
 //
 // Engine is the event engine itself, whatever the config. Callers that
 // manage their own reuse — a benchmark harness, a worker pool with

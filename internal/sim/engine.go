@@ -10,10 +10,10 @@ import (
 // Engine is the event-driven simulator: the wheel-scheduled event loop
 // every configuration can run on. The package-level Run and RunContext
 // pick the path per config — lockstep-eligible configs take the
-// lockstep walk, and only probes, row caches, combining, windowed or
-// non-FIFO sections and grouped or multi-row DRAM come here — while
-// Engine.Run always runs the event loop, so it stays the independent
-// oracle the lockstep walk is tested against.
+// lockstep walk, and only probes, FIFO row caches and windowed or
+// non-FIFO sections come here — while Engine.Run always runs the event
+// loop, so it stays the independent oracle the lockstep walk is tested
+// against.
 //
 // Each Run re-arms the same instance while retaining every internal
 // allocation — the calendar-queue buckets, the per-bank and per-section
@@ -160,13 +160,6 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 		} else {
 			e.bankRows = make([][]uint64, cfg.Machine.Banks)
 		}
-	}
-
-	// DRAM bank-group gating.
-	e.groupGapOn = b.Discipline == DRAM && b.Groups > 0 && b.GroupGap > 0
-	if e.groupGapOn {
-		e.banksPerGroup = (cfg.Machine.Banks + b.Groups - 1) / b.Groups
-		e.groupReady = growZero(e.groupReady, b.Groups)
 	}
 
 	// Regulated window accounting.

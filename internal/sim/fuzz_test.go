@@ -13,13 +13,14 @@ import (
 // configs to the lockstep walk) and the independent per-clock
 // RunReference oracle must produce identical Results on randomized
 // machine shapes, every bank service discipline, windows, network
-// sections, combining, DRAM bank groups, dyadic fractional delays, and
-// uniform, conflict-heavy and bank-bursty address patterns.
+// sections, custom bank maps, dyadic fractional delays, and uniform,
+// conflict-heavy and bank-bursty address patterns.
 //
 // The draws pack into the fixed argument list: shape%3 picks the address
 // pattern and shape/3%5 the delay grain 2^-k; discRaw%5 picks the
 // discipline and the bits of discRaw/5 turn on a window (1), sections
-// (2), combining (4) and, under DRAM, bank groups (8).
+// (2), a custom bank map (4) and, under DRAM, row conflicts drawn from
+// the hit delays' span, so a miss can cost no more than a hit (8).
 //
 // Under `go test` the seed corpus runs as a regression suite; under
 // `go test -fuzz FuzzSimVsReference ./internal/sim/` the mutator explores
@@ -36,8 +37,8 @@ func FuzzSimVsReference(f *testing.F) {
 	f.Add(uint64(9), uint8(3), uint8(1), uint8(7), uint8(1), uint8(6), uint16(300), uint8(1), uint8(5))       // window
 	f.Add(uint64(10), uint8(0), uint8(3), uint8(2), uint8(9), uint8(20), uint16(120), uint8(1), uint8(10))    // sections, NetDelay > 0
 	f.Add(uint64(11), uint8(7), uint8(7), uint8(5), uint8(0), uint8(0), uint16(700), uint8(0), uint8(10))     // sections, NetDelay 0
-	f.Add(uint64(12), uint8(2), uint8(0), uint8(9), uint8(0), uint8(2), uint16(500), uint8(1), uint8(20))     // combining
-	f.Add(uint64(13), uint8(4), uint8(1), uint8(6), uint8(1), uint8(4), uint16(400), uint8(2), uint8(42))     // DRAM groups
+	f.Add(uint64(12), uint8(2), uint8(0), uint8(9), uint8(0), uint8(2), uint16(500), uint8(1), uint8(20))     // custom bank map
+	f.Add(uint64(13), uint8(4), uint8(1), uint8(6), uint8(1), uint8(4), uint16(400), uint8(2), uint8(42))     // DRAM, cheap misses
 	f.Add(uint64(14), uint8(5), uint8(2), uint8(40), uint8(7), uint8(37), uint16(600), uint8(7), uint8(3))    // Regulated, quarter delays
 	f.Add(uint64(15), uint8(3), uint8(1), uint8(99), uint8(21), uint8(50), uint16(800), uint8(13), uint8(77)) // everything, 1/16 grain
 	f.Add(uint64(16), uint8(3), uint8(0), uint8(3), uint8(0), uint8(0), uint16(500), uint8(1), uint8(4))      // GPUShared, NetDelay 0
@@ -69,14 +70,13 @@ func FuzzSimVsReference(f *testing.F) {
 		case 2: // row-buffer DRAM
 			bank = BankConfig{
 				Discipline: DRAM,
-				CacheLines: 1 + rg.Intn(2),
+				CacheLines: rg.Intn(2), // 0 defaults to 1: both spellings
 				HitDelay:   delay(3),
 				MissDelay:  delay(16),
 				RowWords:   1 << rg.Intn(7),
 			}
 			if features&8 != 0 {
-				bank.Groups = 1 + rg.Intn(banks)
-				bank.GroupGap = delay(4)
+				bank.MissDelay = delay(3)
 			}
 		case 3: // bandwidth-regulated banks
 			bank = BankConfig{
@@ -84,15 +84,18 @@ func FuzzSimVsReference(f *testing.F) {
 				RegWindow:  delay(32),
 				RegBudget:  1 + rg.Intn(4),
 			}
-		case 4: // GPU shared memory: warp-synchronous, so no window,
-			// sections or combining
+		case 4: // GPU shared memory: warp-synchronous, so no window or
+			// sections
 			bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + rg.Intn(32)}
 			features = 0
 		}
 		// L = 2*NetDelay keeps the explicit NetDelay and the Normalize
 		// default (L/2) consistent.
 		m := core.Machine{Name: "fuzz", Procs: p, Banks: banks, D: d, G: g, L: 2 * nd}
-		cfg := Config{Machine: m, NetDelay: nd, Bank: bank, Combining: features&4 != 0}
+		cfg := Config{Machine: m, NetDelay: nd, Bank: bank}
+		if features&4 != 0 {
+			cfg.BankMap = xorMap{banks: banks}
+		}
 		if features&1 != 0 {
 			cfg.Window = 1 + rg.Intn(8)
 		}

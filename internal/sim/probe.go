@@ -39,13 +39,11 @@ type RunProbe interface {
 	// BankStart reports bank beginning a service at now that will hold
 	// the bank for service cycles. stall is how long the discipline held
 	// the request beyond its dispatch before letting it start — a
-	// bank-group bus wait under DRAM, a regulation-window wait under
-	// Regulated, 0 elsewhere. rowHit is true when the access was
-	// satisfied from the bank's row buffer; queued is true when the
-	// request waited in the bank's line rather than starting on arrival;
-	// combined is the number of additional queued requests satisfied by
-	// this same service (nonzero only under Config.Combining).
-	BankStart(bank int, now float64, service, stall float64, rowHit, queued bool, combined int)
+	// regulation-window wait under Regulated, 0 elsewhere. rowHit is true
+	// when the access was satisfied from the bank's row buffer; queued is
+	// true when the request waited in the bank's line rather than
+	// starting on arrival.
+	BankStart(bank int, now float64, service, stall float64, rowHit, queued bool)
 
 	// SectionArrive reports a request reaching network section sec at
 	// now; depth as for BankArrive. Only fires when the section

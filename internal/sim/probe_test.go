@@ -32,7 +32,6 @@ type countingRunProbe struct {
 	bankBusy      float64
 	bankStallCy   float64
 	rowHits       int
-	combined      int
 	queuedBank    int
 	sectArrivals  int
 	sectStarts    int
@@ -50,7 +49,7 @@ func (rp *countingRunProbe) BankArrive(bank int, now float64, depth int) {
 	}
 }
 
-func (rp *countingRunProbe) BankStart(bank int, now float64, service, stall float64, rowHit, queued bool, combined int) {
+func (rp *countingRunProbe) BankStart(bank int, now float64, service, stall float64, rowHit, queued bool) {
 	rp.bankStarts[bank]++
 	rp.bankBusy += service
 	rp.bankStallCy += stall
@@ -60,7 +59,6 @@ func (rp *countingRunProbe) BankStart(bank int, now float64, service, stall floa
 	if queued {
 		rp.queuedBank++
 	}
-	rp.combined += combined
 }
 
 func (rp *countingRunProbe) SectionArrive(sec int, now float64, depth int) { rp.sectArrivals++ }
@@ -79,8 +77,7 @@ func (rp *countingRunProbe) RunDone(res Result) {
 
 // sweepConfigs enumerates the 128-configuration sweep: every combination
 // of seven binary knobs (machine scale, bank count, bank delay, section
-// bottleneck, issue window, combining, bank row caching). The same sweep
-// backs the probe differential test here and the determinism goldens.
+// bottleneck, issue window, custom bank map, bank row caching).
 func sweepConfigs() []Config {
 	var cfgs []Config
 	for _, procs := range []int{4, 16} {
@@ -88,7 +85,7 @@ func sweepConfigs() []Config {
 			for _, d := range []float64{4, 12} {
 				for _, sections := range []int{1, 4} {
 					for _, window := range []int{0, 8} {
-						for _, combining := range []bool{false, true} {
+						for _, custom := range []bool{false, true} {
 							for _, cache := range []int{0, 4} {
 								m := core.Machine{
 									Name:  "sweep",
@@ -98,13 +95,16 @@ func sweepConfigs() []Config {
 									Sections:   sections,
 									SectionGap: 0.5,
 								}
-								cfgs = append(cfgs, Config{
+								cfg := Config{
 									Machine:     m,
 									Window:      window,
-									Combining:   combining,
 									UseSections: sections > 1,
 									Bank:        BankConfig{CacheLines: cache},
-								})
+								}
+								if custom {
+									cfg.BankMap = xorMap{banks: m.Banks}
+								}
+								cfgs = append(cfgs, cfg)
 							}
 						}
 					}
@@ -127,9 +127,10 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 	}
 	for i, cfg := range cfgs {
 		cfg := cfg
+		// c marks the custom bank map.
 		name := fmt.Sprintf("cfg%03d_p%d_b%d_d%g_s%d_w%d_c%t_bc%d", i,
 			cfg.Machine.Procs, cfg.Machine.Banks, cfg.Machine.D,
-			cfg.Machine.Sections, cfg.Window, cfg.Combining, cfg.Bank.CacheLines)
+			cfg.Machine.Sections, cfg.Window, cfg.BankMap != nil, cfg.Bank.CacheLines)
 		t.Run(name, func(t *testing.T) {
 			pt := core.NewPattern(patterns.Uniform(1<<10, 1<<30, rng.New(uint64(i+1))), cfg.Machine.Procs)
 
@@ -180,11 +181,11 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 			if arrivals != probed.Requests {
 				t.Errorf("BankArrive fired %d times, Result.Requests = %d", arrivals, probed.Requests)
 			}
-			// Every request satisfied neither on arrival nor by combining
-			// must have started from the queue.
-			if want := probed.Requests - (starts - rp.queuedBank) - rp.combined; rp.queuedBank != want {
-				t.Errorf("queued starts %d inconsistent: requests %d, unqueued starts %d, combined %d",
-					rp.queuedBank, probed.Requests, starts-rp.queuedBank, rp.combined)
+			// Every request not served on arrival must have started from
+			// the queue.
+			if want := probed.Requests - (starts - rp.queuedBank); rp.queuedBank != want {
+				t.Errorf("queued starts %d inconsistent: requests %d, unqueued starts %d",
+					rp.queuedBank, probed.Requests, starts-rp.queuedBank)
 			}
 			if rp.maxBankDepth > probed.MaxBankQueue {
 				t.Errorf("probe saw bank depth %d beyond Result.MaxBankQueue %d", rp.maxBankDepth, probed.MaxBankQueue)
@@ -207,34 +208,5 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 				t.Errorf("negative window stall time %g", rp.windowStallCy)
 			}
 		})
-	}
-}
-
-// TestProbeCombiningAccounting pins the combining-specific probe fields:
-// with all processors hammering one address, every service after the first
-// arrival wave should combine queued requests, and the hook's combined
-// total must equal BankServices' shortfall against Requests.
-func TestProbeCombiningAccounting(t *testing.T) {
-	m := core.Machine{Name: "hot", Procs: 8, Banks: 32, D: 8, G: 1, L: 16}
-	addrs := make([]uint64, 512)
-	for i := range addrs {
-		addrs[i] = 42 // one hot address
-	}
-	probe := &countingProbe{}
-	cfg := Config{Machine: m, Combining: true, Probe: probe}
-	res, err := Run(cfg, core.NewPattern(addrs, m.Procs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := probe.runs[0]
-	if rp.combined == 0 {
-		t.Error("hot-address combining run reported no combined requests")
-	}
-	responded := 0
-	for _, n := range rp.bankStarts {
-		responded += n
-	}
-	if responded+rp.combined != res.Requests {
-		t.Errorf("starts %d + combined %d != requests %d", responded, rp.combined, res.Requests)
 	}
 }

@@ -20,7 +20,7 @@ func randPattern(seed uint64, nRaw uint16, m core.Machine) core.Pattern {
 	return core.NewPattern(addrs, m.Procs)
 }
 
-// Conservation: every request is serviced exactly once (no combining),
+// Conservation: every request is serviced exactly once,
 // and busy time equals services * d.
 func TestPropertyConservation(t *testing.T) {
 	m := testMachine()
@@ -120,31 +120,6 @@ func TestPropertyModelEnvelope(t *testing.T) {
 		return ratio > 0.5 && ratio < 3.0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Combining preserves per-address last-writer semantics is a vector-layer
-// concern; at the sim layer, combining must never serve MORE services
-// than requests, and without duplicates it changes nothing.
-func TestPropertyCombiningBounds(t *testing.T) {
-	m := testMachine()
-	f := func(seed uint64, nRaw uint16) bool {
-		pt := randPattern(seed, nRaw, m)
-		plain, err := Run(Config{Machine: m}, pt)
-		if err != nil {
-			return false
-		}
-		comb, err := Run(Config{Machine: m, Combining: true}, pt)
-		if err != nil {
-			return false
-		}
-		if comb.BankServices > plain.BankServices {
-			return false
-		}
-		return comb.Cycles <= plain.Cycles+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }

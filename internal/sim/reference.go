@@ -40,12 +40,9 @@ import (
 //
 // A service start applies the bank discipline: FIFO serves in D (or
 // HitDelay on a row-buffer hit when CacheLines > 0); DRAM in HitDelay on
-// an open-row hit and MissDelay otherwise, starting no earlier than its
-// bank group's next GroupGap slot; Regulated defers a start past its
-// bank's budget to the next RegWindow boundary; GPUShared counts a queued
-// start as a warp replay. A deferred start holds the bank through the
-// wait. Under Combining the service also answers every request for the
-// same address queued behind it.
+// an open-row hit and MissDelay otherwise; Regulated defers a start past
+// its bank's budget to the next RegWindow boundary, holding the bank
+// through the wait; GPUShared counts a queued start as a warp replay.
 //
 // The one configuration it rejects is a delay that is not a multiple of
 // 1/16 cycle.
@@ -65,7 +62,6 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 	gpu := bc.Discipline == GPUShared
 	sections := cfg.UseSections && m.Sections > 1
 	rowsOn := bc.CacheLines > 0
-	groupsOn := bc.Discipline == DRAM && bc.Groups > 0 && bc.GroupGap > 0
 
 	delays := []float64{m.G, m.D, cfg.NetDelay}
 	if sections {
@@ -76,7 +72,7 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 	}
 	switch bc.Discipline {
 	case DRAM:
-		delays = append(delays, bc.MissDelay, bc.GroupGap)
+		delays = append(delays, bc.MissDelay)
 	case Regulated:
 		delays = append(delays, bc.RegWindow)
 	}
@@ -96,7 +92,7 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 	ticks := func(v float64) int64 { return int64(v * scale) }
 	g, d, nd := ticks(m.G), ticks(m.D), ticks(cfg.NetDelay)
 	secGap, hit, miss := ticks(m.SectionGap), ticks(bc.HitDelay), ticks(bc.MissDelay)
-	gap, regW := ticks(bc.GroupGap), ticks(bc.RegWindow)
+	regW := ticks(bc.RegWindow)
 
 	const (
 		inject = iota
@@ -144,14 +140,10 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 	rows := make([][]uint64, m.Banks)
 	regEpoch := make([]int64, m.Banks)
 	regUsed := make([]int, m.Banks)
-	banksPerSection, banksPerGroup := m.Banks, m.Banks
+	banksPerSection := m.Banks
 	if sections {
 		banksPerSection = (m.Banks + m.Sections - 1) / m.Sections
 	}
-	if bc.Groups > 0 {
-		banksPerGroup = (m.Banks + bc.Groups - 1) / bc.Groups
-	}
-	groupReady := make([]int64, max(bc.Groups, 1))
 	rowShift := rowShiftOf(bc.RowWords)
 	var busyTicks, stallTicks, lastDone int64
 
@@ -172,11 +164,6 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 		return false
 	}
 
-	respond := func(r req, doneAt int64) {
-		served[r.bank]++
-		post(doneAt+nd, action{kind: complete, seq: r.seq, r: r})
-	}
-
 	startBank := func(b int, r req, now int64, queued bool) {
 		banks[b].busy = true
 		start, service := now, d
@@ -193,11 +180,6 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 			} else {
 				service = miss
 				res.RowConflicts++
-			}
-			if groupsOn {
-				grp := b / banksPerGroup
-				start = max(start, groupReady[grp])
-				groupReady[grp] = start + gap
 			}
 		case Regulated:
 			if ep := now / regW; ep > regEpoch[b] {
@@ -217,19 +199,9 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 			}
 		}
 		res.BankServices++
+		served[b]++
 		busyTicks += service
-		respond(r, start+service)
-		if cfg.Combining {
-			var rest []req
-			for _, q := range banks[b].queue {
-				if q.addr == r.addr {
-					respond(q, start+service)
-				} else {
-					rest = append(rest, q)
-				}
-			}
-			banks[b].queue = rest
-		}
+		post(start+service+nd, action{kind: complete, seq: r.seq, r: r})
 		post(start+service, action{kind: bankDone, seq: r.seq, unit: b})
 	}
 
@@ -259,7 +231,7 @@ func RunReference(cfg Config, pt core.Pattern) (Result, error) {
 	// Non-termination guard only: every request's issue gap, transit both
 	// ways, section slot, longest service and longest deferral, all
 	// serialized, bound the whole run.
-	limit := int64(pt.N()+1)*(g+2*nd+secGap+d+hit+miss+gap*int64(banksPerGroup)+regW+1) + 1000
+	limit := int64(pt.N()+1)*(g+2*nd+secGap+d+hit+miss+regW+1) + 1000
 	for clock := int64(0); pending > 0; clock++ {
 		if clock > limit {
 			return Result{}, fmt.Errorf("sim: RunReference did not converge")

@@ -150,42 +150,6 @@ func TestSectionArrivalIsCausal(t *testing.T) {
 		Result{Cycles: 27, Requests: 2, BankServices: 2, MaxBankServed: 2, BankBusy: 2})
 }
 
-// Combining answers every queued request for the serving address. One
-// processor, one bank, D 4, G 1, NetDelay 0, addresses 5, 5, 5, 7:
-//
-//	0: req 1 (addr 5) starts on arrival, 0..4 — nothing queued to combine
-//	1, 2, 3: reqs 2, 3 (addr 5) and 4 (addr 7) queue (MaxBankQueue 3)
-//	4: req 2 starts, 4..8, and answers req 3 with it
-//	8: req 4 starts, 8..12
-//
-// Cycles 12, 3 services of 4 cycles (BankBusy 12) for 4 requests, all
-// served by the one bank (MaxBankServed 4).
-func TestReferenceCombining(t *testing.T) {
-	m := core.Machine{Name: "c", Procs: 1, Banks: 1, D: 4, G: 1}
-	checkHandWorked(t, Config{Machine: m, Combining: true}, core.NewPattern([]uint64{5, 5, 5, 7}, 1),
-		Result{Cycles: 12, Requests: 4, BankServices: 3, MaxBankServed: 4, MaxBankQueue: 3, BankBusy: 12})
-}
-
-// DRAM with one bank group over 4 banks and GroupGap 3: service starts in
-// the group are at least 3 apart. D 2 (so MissDelay 2), HitDelay 1, one
-// open row of 32 words, G 1, NetDelay 0. Proc 0 sends 0 then 4 (both bank
-// 0, row 0); proc 1 sends 1 (bank 1):
-//
-//	0: proc 0's 0 misses, starts 0..2 (group ready at 3); proc 1's 1
-//	   misses, waits for the group, starts 3..5 (ready at 6)
-//	1: proc 0's 4 queues at bank 0 (MaxBankQueue 1)
-//	2: bank 0 frees; 4 hits the open row but waits for the group:
-//	   starts 6..7
-//
-// Cycles 7, BankBusy 2+2+1 = 5, 1 hit, 2 conflicts; bank 0 served 2.
-func TestReferenceGroupGap(t *testing.T) {
-	m := core.Machine{Name: "g", Procs: 2, Banks: 4, D: 2, G: 1}
-	cfg := Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 1, GroupGap: 3}}
-	checkHandWorked(t, cfg, core.Pattern{PerProc: [][]uint64{{0, 4}, {1}}},
-		Result{Cycles: 7, Requests: 3, BankServices: 3, MaxBankServed: 2, MaxBankQueue: 1,
-			BankBusy: 5, RowHits: 1, RowConflicts: 2})
-}
-
 func TestReferenceEmpty(t *testing.T) {
 	m := core.Machine{Name: "xv", Procs: 2, Banks: 8, D: 2, G: 1, L: 0}
 	r, err := RunReference(Config{Machine: m}, core.NewPattern(nil, 2))

@@ -48,29 +48,6 @@ func (s *server) dequeue() (request, bool) {
 	return r, true
 }
 
-// extractAddr removes every queued request for addr, appending them to
-// out in FIFO order, and compacts the remainder without reordering. Used
-// by the combining ablation; out is caller-owned scratch so the steady
-// state stays allocation-free.
-func (s *server) extractAddr(addr uint64, out []request) []request {
-	if s.n == 0 {
-		return out
-	}
-	mask := len(s.buf) - 1
-	kept := 0
-	for i := 0; i < s.n; i++ {
-		r := s.buf[(s.head+i)&mask]
-		if r.addr == addr {
-			out = append(out, r)
-		} else {
-			s.buf[(s.head+kept)&mask] = r
-			kept++
-		}
-	}
-	s.n = kept
-	return out
-}
-
 // grow relinearizes the ring into a buffer of at least need slots.
 func (s *server) grow(need int) {
 	capacity := 8

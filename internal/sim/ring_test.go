@@ -56,49 +56,3 @@ func TestServerRingMatchesSliceModel(t *testing.T) {
 		}
 	}
 }
-
-func TestServerExtractAddrPreservesOrder(t *testing.T) {
-	var s server
-	// Force a wrapped ring: fill, drain halfway, refill.
-	for i := 0; i < 6; i++ {
-		s.enqueue(request{seq: i, addr: uint64(i % 2)})
-	}
-	for i := 0; i < 3; i++ {
-		s.dequeue()
-	}
-	for i := 6; i < 12; i++ {
-		s.enqueue(request{seq: i, addr: uint64(i % 2)})
-	}
-	// Queue now holds seqs 3..11; extract the odd-address ones.
-	out := s.extractAddr(1, nil)
-	wantOut := []int{3, 5, 7, 9, 11}
-	if len(out) != len(wantOut) {
-		t.Fatalf("extracted %d requests, want %d", len(out), len(wantOut))
-	}
-	for i, r := range out {
-		if r.seq != wantOut[i] {
-			t.Errorf("extracted[%d].seq = %d, want %d", i, r.seq, wantOut[i])
-		}
-	}
-	wantKept := []int{4, 6, 8, 10}
-	for i, want := range wantKept {
-		r, ok := s.dequeue()
-		if !ok || r.seq != want {
-			t.Errorf("kept[%d] = %+v (ok=%v), want seq %d", i, r, ok, want)
-		}
-	}
-	if s.qlen() != 0 {
-		t.Errorf("queue not drained: %d left", s.qlen())
-	}
-}
-
-func TestServerExtractAddrEmptyAndMiss(t *testing.T) {
-	var s server
-	if out := s.extractAddr(1, nil); len(out) != 0 {
-		t.Errorf("extract from empty = %d", len(out))
-	}
-	s.enqueue(request{seq: 1, addr: 5})
-	if out := s.extractAddr(99, nil); len(out) != 0 || s.qlen() != 1 {
-		t.Errorf("miss changed queue: out=%d qlen=%d", len(out), s.qlen())
-	}
-}

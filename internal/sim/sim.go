@@ -82,7 +82,6 @@ type engine struct {
 	// lastDone bookkeeping in respond.
 	openLoop        bool
 	banksPerSection int
-	combineScratch  []request // reused by startBank's combining pass
 
 	// rp is the per-run probe, nil for the (default) unobserved run.
 	// Every hook site is nil-checked, so probes-off costs one predictable
@@ -107,12 +106,6 @@ type engine struct {
 	// event (DESIGN.md §12). The per-discipline state below is retained
 	// across resets like every other arena.
 	disc Discipline
-
-	// DRAM bank-group gating: group g admits no service start before
-	// groupReady[g].
-	groupGapOn    bool
-	banksPerGroup int
-	groupReady    []float64
 
 	// Regulated: per-bank window accounting. regEpoch[b] is the index of
 	// the regulation window bank b last charged, regUsed[b] the services
@@ -158,16 +151,15 @@ var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 // uncancelled RunContext produces cycle counts byte-identical to Run.
 //
 // RunContext picks the path by one rule, BatchEligible(cfg): an
-// eligible config — open- or closed-loop FIFO, Regulated, ungrouped
-// single-row DRAM, GPUShared, or open-loop FIFO behind network sections
-// — runs on a pooled lockstep walk (a windowed one finishes in the
-// O(log p) replay at its first stall; warps replay on the same tree),
-// and every other config — probes, windowed or non-FIFO sections,
-// combining, row caches, grouped or multi-row DRAM — runs on a pooled
-// event Engine. Both paths return
-// results byte-identical to Engine.Run, with the same configuration
-// errors, and both re-arm retained state in place, so the steady-state
-// allocation cost of a run is ~0 (TestProbesOffAllocBudget pins it).
+// eligible config — open- or closed-loop FIFO, Regulated, DRAM,
+// GPUShared, or open-loop FIFO behind network sections — runs on a
+// pooled lockstep walk (a windowed one finishes in the O(log p) replay
+// at its first stall; warps replay on the same tree), and every other
+// config — probes, windowed or non-FIFO sections, FIFO row caches —
+// runs on a pooled event Engine. Both paths return results
+// byte-identical to Engine.Run, with the same configuration errors, and
+// both re-arm retained state in place, so the steady-state allocation
+// cost of a run is ~0 (TestProbesOffAllocBudget pins it).
 func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
 	if BatchEligible(cfg) {
 		b := lockstepPool.Get().(*lockstep)
@@ -358,10 +350,9 @@ func (e *engine) bankArrive(req request, now float64) {
 // time and the actual start instant; the switch on e.disc is the whole
 // dispatch — resolved to a tag at reset, monomorphic in the loop — so
 // adding a discipline costs FIFO nothing (DESIGN.md §12). start may
-// trail now when the discipline defers the request (a bank-group bus
-// slot under DRAM, an exhausted regulation window under Regulated); the
-// bank is occupied for the deferral, exactly as real hardware holds the
-// banked resource while it waits for its turn.
+// trail now when Regulated defers the request to the next regulation
+// window; the bank is occupied for the deferral, exactly as real
+// hardware holds the banked resource while it waits for its turn.
 func (e *engine) startBank(bank int, req request, now float64, queued bool) {
 	b := &e.banks[bank]
 	b.busy = true
@@ -383,13 +374,6 @@ func (e *engine) startBank(bank int, req request, now float64, queued bool) {
 		} else {
 			service = e.cfg.Bank.MissDelay
 			e.res.RowConflicts++
-		}
-		if e.groupGapOn {
-			g := bank / e.banksPerGroup
-			if t := e.groupReady[g]; t > start {
-				start = t
-			}
-			e.groupReady[g] = start + e.cfg.Bank.GroupGap
 		}
 	case Regulated:
 		ep := int64(now / e.regWindow)
@@ -416,20 +400,10 @@ func (e *engine) startBank(bank int, req request, now float64, queued bool) {
 	e.res.BankBusy += service
 	e.bankServe[bank]++
 
-	// The request(s) complete at done; responses transit back.
+	// The request completes at done; its response transits back.
 	e.respond(req, done)
-	combined := 0
-	if e.cfg.Combining {
-		// Serve every queued request for the same address in this service.
-		e.combineScratch = b.extractAddr(req.addr, e.combineScratch[:0])
-		combined = len(e.combineScratch)
-		for _, q := range e.combineScratch {
-			e.bankServe[bank]++
-			e.respond(q, done)
-		}
-	}
 	if e.rp != nil {
-		e.rp.BankStart(bank, start, service, start-now, rowHit, queued, combined)
+		e.rp.BankStart(bank, start, service, start-now, rowHit, queued)
 	}
 	e.events.push(event{time: done, seq: req.seq, kind: evBankDone, idx: int32(bank)})
 }

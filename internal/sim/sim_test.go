@@ -180,26 +180,6 @@ func TestWindowWithLatencyThrottles(t *testing.T) {
 	}
 }
 
-func TestCombiningCollapsesHotSpot(t *testing.T) {
-	m := testMachine()
-	n := 512
-	pt := core.NewPattern(constAddrs(n, 9), m.Procs)
-	plain, err := Run(Config{Machine: m}, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := Run(Config{Machine: m, Combining: true}, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comb.Cycles >= plain.Cycles/4 {
-		t.Errorf("combining should collapse the hot spot: %v vs %v", comb.Cycles, plain.Cycles)
-	}
-	if comb.BankServices >= plain.BankServices {
-		t.Errorf("combining should reduce bank services: %d vs %d", comb.BankServices, plain.BankServices)
-	}
-}
-
 func TestSectionCongestion(t *testing.T) {
 	// All requests to banks in one section, with section bandwidth below
 	// aggregate processor bandwidth: section becomes the bottleneck.
@@ -248,29 +228,6 @@ func TestBankBusyAccounting(t *testing.T) {
 	}
 	if r.BankServices != n {
 		t.Errorf("BankServices = %d, want %d", r.BankServices, n)
-	}
-}
-
-func TestRunSupersteps(t *testing.T) {
-	m := testMachine()
-	m.L = 50
-	steps := []core.Pattern{
-		core.NewPattern(seqAddrs(128), m.Procs),
-		core.NewPattern(constAddrs(64, 3), m.Procs),
-	}
-	results, total, err := RunSupersteps(Config{Machine: m}, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	sum := 0.0
-	for _, r := range results {
-		sum += r.Cycles + m.L
-	}
-	if math.Abs(total-sum) > 1e-9 {
-		t.Errorf("total = %v, want %v", total, sum)
 	}
 }
 

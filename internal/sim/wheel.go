@@ -64,13 +64,9 @@ const (
 // with another (a bank completion is service + NetDelay from the start
 // that scheduled it).
 //
-// Disciplines that defer a service start beyond the dispatching event
-// widen the horizon by their worst-case deferral: a Regulated bank holds
-// a request at most one full regulation window; a DRAM bank group can
-// chain at most one GroupGap deferral per bank in the group before the
-// chained starts are themselves in the future (each start advances the
-// group's ready time by GroupGap, and a bank contributes at most one
-// start per instant because it stays busy through its own service).
+// Regulated, the one discipline that defers a service start beyond the
+// dispatching event, widens the horizon by its worst-case deferral: a
+// Regulated bank holds a request at most one full regulation window.
 func schedHorizon(cfg Config) float64 {
 	b := cfg.Bank
 	service := cfg.Machine.D
@@ -84,10 +80,6 @@ func schedHorizon(cfg Config) float64 {
 		service = b.HitDelay
 		if b.MissDelay > service {
 			service = b.MissDelay
-		}
-		if b.Groups > 0 && b.GroupGap > 0 {
-			banksPerGroup := (cfg.Machine.Banks + b.Groups - 1) / b.Groups
-			hold = float64(banksPerGroup) * b.GroupGap
 		}
 	case Regulated:
 		hold = b.RegWindow

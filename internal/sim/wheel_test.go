@@ -12,11 +12,11 @@ import (
 )
 
 // TestEngineVsReferenceDifferential runs a broad sweep of random (p, x,
-// d, g, Window, NetDelay, sections, combining, discipline) configurations
+// d, g, Window, NetDelay, sections, bank map, discipline) configurations
 // through Run, the event engine and the per-clock RunReference oracle and
 // asserts identical Results. Every delay is a multiple of 1/4 cycle, so
-// the oracle covers the whole sweep: windows, sections, combining, DRAM
-// bank groups and fractional event times included. The pop order is
+// the oracle covers the whole sweep: windows, sections, custom bank maps,
+// DRAM misses cheaper than hits and fractional event times included. The pop order is
 // load-bearing (memo cache, checkpoint journal key on cycle counts), so
 // any divergence here is a correctness bug, not a tolerance question.
 func TestEngineVsReferenceDifferential(t *testing.T) {
@@ -47,26 +47,27 @@ func TestEngineVsReferenceDifferential(t *testing.T) {
 			Window:      []int{0, 0, 1 + g.Intn(32)}[g.Intn(3)],
 			NetDelay:    float64(g.Intn(32)) / 4,
 			UseSections: m.Sections > 1,
-			Combining:   g.Intn(4) == 0,
+		}
+		if g.Intn(4) == 0 {
+			cfg.BankMap = xorMap{banks: m.Banks}
 		}
 		if g.Intn(4) == 0 {
 			cfg.Bank = BankConfig{CacheLines: 1 + g.Intn(4), HitDelay: float64(1+g.Intn(4)) / 2}
 		}
 		// Half the configs swap in a non-FIFO discipline; the draws respect
-		// Validate's per-discipline knob rules (GPUShared forbids windows,
-		// combining and sections).
+		// Validate's per-discipline knob rules (GPUShared forbids windows
+		// and sections).
 		switch g.Intn(8) {
 		case 0, 1:
 			cfg.Bank = BankConfig{
 				Discipline: DRAM,
-				CacheLines: 1 + g.Intn(3),
+				CacheLines: g.Intn(2), // 0 defaults to 1: both spellings
 				HitDelay:   float64(1+g.Intn(8)) / 4,
 				MissDelay:  float64(1+g.Intn(64)) / 4,
 				RowWords:   1 << g.Intn(7),
 			}
-			if g.Intn(2) == 0 {
-				cfg.Bank.Groups = 1 + g.Intn(cfg.Machine.Banks)
-				cfg.Bank.GroupGap = float64(1+g.Intn(8)) / 4
+			if g.Intn(2) == 0 { // misses from the hits' span: no dearer than a hit
+				cfg.Bank.MissDelay = float64(1+g.Intn(8)) / 4
 			}
 		case 2, 3:
 			cfg.Bank = BankConfig{
@@ -76,7 +77,7 @@ func TestEngineVsReferenceDifferential(t *testing.T) {
 			}
 		case 4, 5:
 			cfg.Machine.Sections, cfg.Machine.SectionGap = 0, 0
-			cfg.Window, cfg.Combining, cfg.UseSections = 0, false, false
+			cfg.Window, cfg.UseSections = 0, false
 			cfg.Bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + g.Intn(32)}
 		}
 		n := 1 << (6 + g.Intn(6))
@@ -260,7 +261,7 @@ func TestEngineReuseZeroAllocs(t *testing.T) {
 		{"open-loop", Config{Machine: m}},
 		{"windowed", Config{Machine: m, Window: 8}},
 		{"sections", Config{Machine: m, UseSections: true}},
-		{"dram", Config{Machine: m, Bank: BankConfig{Discipline: DRAM, Groups: 16, GroupGap: 0.5}}},
+		{"dram", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}},
 		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}}},
 		{"gpu", Config{Machine: m, Bank: BankConfig{Discipline: GPUShared}}},
 	} {

@@ -14,10 +14,10 @@
 // envelope.go), and enforced by tests, so routing a point through the
 // surrogate trades a *known, bounded* amount of accuracy for speed.
 //
-// Eligibility is explicit. FIFO and Regulated banks, any issue window,
-// any bank map, with a full crossbar and no combining, are supported;
-// everything else (DRAM row-buffer state, GPU warp replays, section
-// bottlenecks, combining) returns a typed *UnsupportedError so callers
+// Eligibility is explicit. FIFO and Regulated banks without row caches,
+// any issue window, any bank map, with a full crossbar, are supported;
+// everything else (row-buffer state, GPU warp replays, section
+// bottlenecks) returns a typed *UnsupportedError so callers
 // can fall back to simulation rather than silently mispredict.
 package surrogate
 
@@ -67,7 +67,7 @@ func Eligible(cfg sim.Config) error {
 	case sim.DRAM:
 		return &UnsupportedError{
 			Feature: "Bank.Discipline",
-			Reason:  "DRAM row hits and bank-group bus slots are stateful; use the event simulator",
+			Reason:  "DRAM row hits depend on access order; use the event simulator",
 		}
 	case sim.GPUShared:
 		return &UnsupportedError{
@@ -78,12 +78,6 @@ func Eligible(cfg sim.Config) error {
 		return &UnsupportedError{
 			Feature: "Bank.Discipline",
 			Reason:  fmt.Sprintf("unknown discipline %v", c.Bank.Discipline),
-		}
-	}
-	if c.Combining {
-		return &UnsupportedError{
-			Feature: "Combining",
-			Reason:  "combined service counts depend on queue contents at service time",
 		}
 	}
 	if c.UseSections && c.Machine.Sections > 1 {

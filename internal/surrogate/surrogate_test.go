@@ -36,7 +36,6 @@ func TestEligibleTypedErrors(t *testing.T) {
 		{"fifo cache lines", func(c *sim.Config) {
 			c.Bank = sim.BankConfig{Discipline: sim.FIFO, CacheLines: 8}
 		}, "Bank.CacheLines"},
-		{"combining", func(c *sim.Config) { c.Combining = true }, "Combining"},
 		{"sections", func(c *sim.Config) {
 			c.UseSections = true
 			c.Machine.Sections = 4
