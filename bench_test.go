@@ -296,6 +296,27 @@ func BenchmarkSimScatter64KRegulated(b *testing.B) {
 	}
 }
 
+// BenchmarkSimScatter64KRegulatedHot is D2's hot-bank mix at the default
+// regulation: every second request of the scatter goes to bank 0, which
+// overdraws every window, so most of its requests stall and the stall
+// sum (ThrottleStallCycles) is on the hot path.
+func BenchmarkSimScatter64KRegulatedHot(b *testing.B) {
+	m := core.J90()
+	addrs := patterns.Uniform(1<<16, 1<<30, rng.New(2))
+	for i := 1; i < len(addrs); i += 2 {
+		addrs[i] = 0
+	}
+	pt := core.NewPattern(addrs, m.Procs)
+	cfg := sim.Config{Machine: m, Bank: sim.BankConfig{Discipline: sim.Regulated}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(cfg, pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimScatter64KGPU covers the warp-synchronous issue path: a
 // processor issues its next warp only when the last lane of the current
 // one returns, so Run serves it on the lockstep walk's warp replay, one

@@ -108,6 +108,10 @@ func expD2() Experiment {
 				}
 				// Odd slots stay 0: every second request lands on bank 0.
 			}
+			// Built once, so every point submits the same slices and the
+			// cache's digest memo hashes each pattern once.
+			m := core.J90()
+			pu, pm := core.NewPattern(uniform, m.Procs), core.NewPattern(mix, m.Procs)
 			var pts []Point
 			for _, b := range budgets {
 				b := b
@@ -116,16 +120,15 @@ func expD2() Experiment {
 					label = "unlimited"
 				}
 				pts = append(pts, newPoint(label, func(ctx context.Context, cfg Config) (tableRows, error) {
-					m := core.J90()
 					sc := sim.Config{Machine: m}
 					if b > 0 {
 						sc.Bank = sim.BankConfig{Discipline: sim.Regulated, RegBudget: b}
 					}
-					ru, err := cfg.RunSim(ctx, sc, core.NewPattern(uniform, m.Procs))
+					ru, err := cfg.RunSim(ctx, sc, pu)
 					if err != nil {
 						return nil, err
 					}
-					rm, err := cfg.RunSim(ctx, sc, core.NewPattern(mix, m.Procs))
+					rm, err := cfg.RunSim(ctx, sc, pm)
 					if err != nil {
 						return nil, err
 					}

@@ -108,12 +108,13 @@ func TestEmulateMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// A warm Analytic emulation allocates only the PerStep slice it returns.
-// (A nil map costs one more: boxing the default interleave map.)
+// A warm Analytic emulation allocates only the PerStep slice it returns,
+// also under a nil map: the default interleave map over 512 banks is
+// boxed once, not per call.
 func TestEmulateAnalyticAllocatesOnlyPerStep(t *testing.T) {
 	m := emulationMachine(512)
 	prog := ProgramFromTraces(randomTraces(rng.New(3), 6, 3000), 1024)
-	for _, bm := range []core.BankMap{hashedMap(m.Banks, 5), core.InterleaveMap{Banks: m.Banks}} {
+	for _, bm := range []core.BankMap{hashedMap(m.Banks, 5), core.InterleaveMap{Banks: m.Banks}, nil} {
 		if _, err := Emulate(prog, m, bm, Analytic); err != nil {
 			t.Fatal(err)
 		}

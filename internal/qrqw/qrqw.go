@@ -211,13 +211,16 @@ func Emulate(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, 
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
+	sc := scratch.Get().(*emuScratch)
+	defer scratch.Put(sc)
 	if bm == nil {
-		bm = core.InterleaveMap{Banks: m.Banks}
+		if sc.def == nil || sc.def.NumBanks() != m.Banks {
+			sc.def = core.InterleaveMap{Banks: m.Banks}
+		}
+		bm = sc.def
 	}
 	res := Result{QRQWTime: prog.Time(), Procs: m.Procs, V: prog.V, PerStep: make([]float64, len(prog.Steps))}
-	hp := hists.Get().(*[]int)
-	defer hists.Put(hp)
-	*hp = slices.Grow((*hp)[:0], bm.NumBanks())[:bm.NumBanks()]
+	sc.hist = slices.Grow(sc.hist[:0], bm.NumBanks())[:bm.NumBanks()]
 	for si, st := range prog.Steps {
 		var cycles float64
 		switch mode {
@@ -228,7 +231,7 @@ func Emulate(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, 
 			}
 			cycles = r.Cycles + m.L
 		default:
-			cycles = m.PredictDXBSP(st.loads(m.Procs, bm, *hp))
+			cycles = m.PredictDXBSP(st.loads(m.Procs, bm, sc.hist))
 		}
 		res.PerStep[si] = cycles
 		res.Cycles += cycles
@@ -236,9 +239,16 @@ func Emulate(prog Program, m core.Machine, bm core.BankMap, mode Mode) (Result, 
 	return res, nil
 }
 
-// hists pools Emulate's bank histograms, so a warm Analytic emulation
-// allocates only the PerStep slice it returns.
-var hists = sync.Pool{New: func() any { return new([]int) }}
+// emuScratch is Emulate's pooled scratch: the bank histogram and the
+// default interleave map, boxed once per bank count (boxing a map of 256
+// or more banks into the interface allocates), so a warm Analytic
+// emulation allocates only the PerStep slice it returns.
+type emuScratch struct {
+	hist []int
+	def  core.BankMap
+}
+
+var scratch = sync.Pool{New: func() any { return new(emuScratch) }}
 
 // InevitableWorkOverhead returns d/(g*x) clamped below at 1: the factor by
 // which any emulation's work must exceed the QRQW work when the aggregate

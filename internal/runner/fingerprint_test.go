@@ -84,3 +84,20 @@ func TestConfigPrefixDisciplines(t *testing.T) {
 		seen[k] = i
 	}
 }
+
+// TestPatternDigestPinned pins patternDigest on a ragged pattern: an
+// empty stream, streams of different lengths, and addresses that fill
+// all eight bytes. Cache keys and checkpoint journals carry the digest,
+// so a change to its byte framing would orphan every journal on disk.
+func TestPatternDigestPinned(t *testing.T) {
+	pt := core.Pattern{PerProc: [][]uint64{
+		{1, 0xffffffffffffffff, 1 << 40},
+		{},
+		{0x0123456789abcdef},
+		{7, 7, 0x8000000000000000, 42, 0xdeadbeef},
+	}}
+	const want = "a20dc8da316abdf0:9"
+	if got := patternDigest(pt); got != want {
+		t.Errorf("patternDigest = %s, want %s", got, want)
+	}
+}

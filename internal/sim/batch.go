@@ -110,12 +110,19 @@ type lockstep struct {
 	// comp is a closed-loop run's pending-completion min-heap, ordered by
 	// (time, seq) like the replay's: a completion strictly before the next
 	// injection grid point has been processed by the event engine before
-	// that inject, so it drains outst at round start. busyEvs collects
-	// float accumulations whose event-engine order differs from arrival
-	// order (DRAM BankBusy, Regulated ThrottleStallCycles); they are
-	// sorted by event key and summed in result.
-	comp    []compEv
-	busyEvs []busyEv
+	// that inject, so it drains outst at round start.
+	comp []compEv
+
+	// The deferred sums, DRAM BankBusy and Regulated ThrottleStallCycles,
+	// whose event-engine order differs from arrival order. When every
+	// partial sum is exact the order is free (see result): DRAM needs only
+	// the row tallies, and Regulated adds its stalls in sixteenths of a
+	// cycle (stallTicks, +Inf once a stall leaves the grid). Otherwise
+	// logBusy is set and busyEvs collects each term with its event key,
+	// for result to sort and sum.
+	logBusy    bool
+	stallTicks float64
+	busyEvs    []busyEv
 
 	// Replay scratch, sized to the pattern's processor count for
 	// closed-loop runs. The replay keeps no global event queue — each
@@ -325,37 +332,62 @@ const batchPollRequests = 4096
 //   - DRAM/Regulated service times vary per request, so the constant-d
 //     frontStart/qn drain is replaced by a per-bank ring of waiter
 //     dequeue times (a waiter dequeues exactly when its predecessor
-//     finishes — the value of lastFin at its enqueue), and float
+//     finishes — the value of lastFin at its enqueue). The float
 //     accumulators whose event order is the global service-start order
 //     rather than arrival order (DRAM BankBusy, Regulated
-//     ThrottleStallCycles) are deferred: recorded with their (time,
-//     kind, seq) event key, sorted, and summed in result so the
-//     partial-sum rounding is bit-identical.
+//     ThrottleStallCycles) are deferred to result. On the 1/16-cycle
+//     grid, below 2^53 sixteenths, every partial sum is exact, so the
+//     order is free and result needs only the tallies; otherwise each
+//     term is logged with its (time, kind, seq) event key and result
+//     sorts the log, so the partial-sum rounding is bit-identical
+//     either way.
 func (b *lockstep) run(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
 	cfg, err := prepare(cfg, pt, &b.defMaps)
 	if err != nil {
 		return Result{}, err
 	}
 	b.reset(cfg, pt)
-	maxLen := 0
-	for _, addrs := range pt.PerProc {
-		maxLen = max(maxLen, len(addrs))
-	}
-	switch {
-	case b.cls == clGPU:
-		err = b.runWarps(ctx, pt)
-	case b.sec0 > 0:
-		err = b.runSections(ctx, pt, maxLen)
-	case b.cls == clFIFO && b.win == 0:
-		err = b.runPlain(ctx, pt, maxLen)
-	default:
-		err = b.runMixed(ctx, pt, maxLen)
+	err = b.walk(ctx, pt)
+	if err == nil && b.cls == clReg && !b.logBusy && !(b.stallTicks < 1<<53) {
+		// A stall left the 1/16 grid or the stalls reached 2^53
+		// sixteenths, so their sum's order is not free: walk again,
+		// logging each stall for result to sort.
+		b.reset(cfg, pt)
+		b.logBusy = true
+		err = b.walk(ctx, pt)
 	}
 	b.bm = nil
 	if err != nil {
 		return Result{}, err
 	}
 	return b.result(pt.N()), nil
+}
+
+// walk simulates the reset run on the loop its class and shape take.
+func (b *lockstep) walk(ctx context.Context, pt core.Pattern) error {
+	maxLen := 0
+	for _, addrs := range pt.PerProc {
+		maxLen = max(maxLen, len(addrs))
+	}
+	switch {
+	case b.cls == clGPU:
+		return b.runWarps(ctx, pt)
+	case b.sec0 > 0:
+		return b.runSections(ctx, pt, maxLen)
+	case b.cls == clFIFO && b.win == 0:
+		return b.runPlain(ctx, pt, maxLen)
+	}
+	return b.runMixed(ctx, pt, maxLen)
+}
+
+// onGrid reports whether every v is a multiple of 1/16 cycle.
+func onGrid(vs ...float64) bool {
+	for _, v := range vs {
+		if v*16 != math.Trunc(v*16) {
+			return false
+		}
+	}
+	return true
 }
 
 // reset re-arms the engine for the prepared cfg, reusing retained
@@ -368,14 +400,20 @@ func (b *lockstep) reset(cfg Config, pt core.Pattern) {
 	b.bm = cfg.BankMap
 	b.win = int32(cfg.Window)
 	b.rowHits, b.rowConf, b.thrStalls, b.replays, b.secMaxQ = 0, 0, 0, 0, 0
+	b.logBusy, b.stallTicks = false, 0
 	switch cfg.Bank.Discipline {
 	case DRAM:
 		b.cls = clDRAM
 		b.rowShift = uint8(rowShiftOf(cfg.Bank.RowWords))
 		b.hitD, b.missD = cfg.Bank.HitDelay, cfg.Bank.MissDelay
+		// The whole sum is at most n·max(HitDelay, MissDelay).
+		b.logBusy = !onGrid(b.hitD, b.missD) || float64(pt.N())*max(b.hitD, b.missD)*16 >= 1<<53
 	case Regulated:
 		b.cls = clReg
 		b.regW, b.regB = cfg.Bank.RegWindow, int32(cfg.Bank.RegBudget)
+		// Off the grid the stalls mostly leave it too, and each such run
+		// would walk twice (see run): log from the start instead.
+		b.logBusy = !onGrid(cfg.Machine.G, cfg.Machine.D, cfg.NetDelay, b.regW)
 	case GPUShared:
 		b.cls = clGPU
 		b.warp = int32(cfg.Bank.WarpSize)
@@ -674,10 +712,12 @@ func (b *lockstep) serveArrival(bank int, a float64, addr uint64, reqSeq int32, 
 			service = b.missD
 			b.rowConf++
 		}
-		// DRAM services vary (hit vs miss), so BankBusy's partial sums
-		// depend on the event engine's accumulation order; defer to
+		// DRAM services vary (hit vs miss): off the grid BankBusy's
+		// partial sums depend on the event engine's order; defer to
 		// result.
-		b.busyEvs = append(b.busyEvs, busyEv{t: start, key: key, v: service})
+		if b.logBusy {
+			b.busyEvs = append(b.busyEvs, busyEv{t: start, key: key, v: service})
+		}
 	} else {
 		rw := b.regW
 		ep := int64(start / rw)
@@ -691,7 +731,14 @@ func (b *lockstep) serveArrival(bank int, a float64, addr uint64, reqSeq int32, 
 			b.regUsed[bank] = 0
 			ns := float64(b.regEpoch[bank]) * rw
 			b.thrStalls++
-			b.busyEvs = append(b.busyEvs, busyEv{t: start, key: key, v: ns - start})
+			stall := ns - start
+			if b.logBusy {
+				b.busyEvs = append(b.busyEvs, busyEv{t: start, key: key, v: stall})
+			} else if t := stall * 16; t >= 0 && t == math.Trunc(t) {
+				b.stallTicks += t
+			} else {
+				b.stallTicks = math.Inf(1)
+			}
 			start = ns
 		}
 		b.regUsed[bank]++
@@ -1153,10 +1200,20 @@ func (b *lockstep) runWarps(ctx context.Context, pt core.Pattern) error {
 	return nil
 }
 
-// result assembles the Result from the arenas. Deferred accumulations
-// (DRAM BankBusy, Regulated ThrottleStallCycles) are sorted into the
-// event order here and summed left to right, so their partial-sum
-// rounding matches the event engine bit for bit.
+// result assembles the Result from the arenas, including the deferred
+// sums (DRAM BankBusy, Regulated ThrottleStallCycles), which the event
+// engine adds up in event order.
+//
+// When every term is a non-negative multiple of 1/16 and their exact
+// total is below 2^53 sixteenths, every partial sum in any order is a
+// multiple of 1/16 below 2^49, which a float64 holds exactly: each
+// addition is exact, so the event-order sum is the exact total, bit for
+// bit. For DRAM that total is RowHits·HitDelay + RowConflicts·MissDelay,
+// whose products and sum are exact under the same bound (reset checks
+// it before the run); for Regulated it is stallTicks/16 (run re-walks
+// with the log when the ticks miss the bound). Otherwise the logged
+// terms are sorted into event order and summed left to right, so their
+// partial-sum rounding matches the event engine's.
 func (b *lockstep) result(n int) Result {
 	res := Result{
 		Cycles:       b.lastDone,
@@ -1165,23 +1222,28 @@ func (b *lockstep) result(n int) Result {
 		MaxBankQueue: int(b.maxQ),
 		BankBusy:     b.busyAcc,
 	}
-	var deferred float64
-	if b.cls == clDRAM || b.cls == clReg {
-		slices.SortFunc(b.busyEvs, cmpBusyEv)
-		for _, e := range b.busyEvs {
-			deferred += e.v
-		}
-	}
 	switch b.cls {
 	case clDRAM:
 		res.RowHits = int(b.rowHits)
 		res.RowConflicts = int(b.rowConf)
-		res.BankBusy = deferred
+		res.BankBusy = float64(b.rowHits)*b.hitD + float64(b.rowConf)*b.missD
 	case clReg:
 		res.ThrottleStalls = int(b.thrStalls)
-		res.ThrottleStallCycles = deferred
+		res.ThrottleStallCycles = b.stallTicks / 16
 	case clGPU:
 		res.WarpReplays = int(b.replays)
+	}
+	if b.logBusy {
+		slices.SortFunc(b.busyEvs, cmpBusyEv)
+		var sum float64
+		for _, e := range b.busyEvs {
+			sum += e.v
+		}
+		if b.cls == clDRAM {
+			res.BankBusy = sum
+		} else {
+			res.ThrottleStallCycles = sum
+		}
 	}
 	res.MaxSectionQueue = int(b.secMaxQ)
 	for _, c := range b.serve {

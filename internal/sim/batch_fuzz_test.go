@@ -23,7 +23,11 @@ import (
 // Every plain FIFO config is also run behind network sections, keeping
 // its window: a sectioned copy with its own section count and gap,
 // drawn from a second stream so the main stream — and with it every
-// committed corpus entry — replays unchanged.
+// committed corpus entry — replays unchanged. Every DRAM and Regulated
+// config likewise gets an off-grid copy from a third stream: delays in
+// thirds of a cycle and a NetDelay in steps of 0.3, which put most of
+// them off the 1/16-cycle grid, where the lockstep walk logs its
+// deferred sums and sorts them into event order.
 //
 // Under `go test` the seed corpus runs as a regression suite; under
 // `go test -fuzz FuzzBatchVsScalar ./internal/sim/` the mutator explores
@@ -119,6 +123,23 @@ func FuzzBatchVsScalar(f *testing.F) {
 			c.Machine.Sections = 2 + secRg.Intn(min(c.Machine.Banks-1, 8))
 			c.Machine.SectionGap = float64(1+secRg.Intn(12)) / 4
 			c.UseSections = true
+			cfgs = append(cfgs, c)
+		}
+
+		// Off-grid copies, from a third stream so the other draws stay
+		// unchanged.
+		offRg := rng.New(seed ^ 0x0ff6)
+		for _, c := range cfgs[:k] {
+			switch c.Bank.Discipline {
+			case DRAM:
+				c.Bank.HitDelay = float64(1+offRg.Intn(12)) / 3
+				c.Bank.MissDelay = float64(1+offRg.Intn(64)) / 3
+			case Regulated:
+				c.Bank.RegWindow = float64(1+offRg.Intn(96)) / 3
+			default:
+				continue
+			}
+			c.NetDelay = 0.3 * float64(offRg.Intn(16))
 			cfgs = append(cfgs, c)
 		}
 

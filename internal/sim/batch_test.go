@@ -165,8 +165,10 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		c.UseSections, c.Window = true, window
 		return c
 	}
-	// The windowed configs (tight FIFO and DRAM windows that stall into
-	// the replay, a windowed Regulated one) pin the closed-loop arenas —
+	// The off-grid DRAM and Regulated configs log their deferred sums
+	// (busyEvs), so that log is retained too. The windowed configs (tight
+	// FIFO and DRAM windows that stall into the replay, a windowed
+	// Regulated one) pin the closed-loop arenas —
 	// completion heaps, dequeue rings, replay scratch — as retained too.
 	cfgs := []Config{
 		mk(16, 2, BankConfig{}),
@@ -175,6 +177,8 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		mk(8, 30, BankConfig{}),
 		mk(16, 4, BankConfig{Discipline: DRAM, CacheLines: 1, HitDelay: 1, MissDelay: 8}),
 		mk(16, 4, BankConfig{Discipline: Regulated, RegWindow: 16, RegBudget: 2}),
+		mk(16, 4, BankConfig{Discipline: DRAM, CacheLines: 1, HitDelay: 1.0 / 3, MissDelay: 8.0 / 3}),
+		mk(16, 4, BankConfig{Discipline: Regulated, RegWindow: 16.0 / 3, RegBudget: 2}),
 		mk(16, 4, BankConfig{Discipline: GPUShared, WarpSize: 8}),
 		mk(128, 6, BankConfig{}),
 		mkw(16, 6, 2, BankConfig{}),
@@ -209,6 +213,64 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm cycle allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestDeferredSumsStraddleExactBound runs DRAM and Regulated configs on
+// both sides of the bound below which the lockstep walk adds its
+// deferred sums (DRAM BankBusy, Regulated ThrottleStallCycles) without
+// the event-order log: n·MissDelay·16 against 2^53 for DRAM, the total
+// stall in sixteenths for Regulated. Delays this large make partial
+// sums round above the bound, so there the event order matters and the
+// log must be taken; on either side Run must equal the event engine.
+func TestDeferredSumsStraddleExactBound(t *testing.T) {
+	const n = 64
+	rg := rng.New(23)
+	addrs := make([]uint64, n)
+	for i := range addrs {
+		addrs[i] = rg.Uint64n(64)
+		if i%2 == 1 {
+			addrs[i] = 0 // every second request on bank 0: Regulated stalls
+		}
+	}
+	pt := core.NewPattern(addrs, 4)
+	m := core.Machine{Name: "big", Procs: 4, Banks: 4, D: 3, G: 1, L: 2}
+	dram := func(miss float64) Config {
+		return Config{Machine: m, Bank: BankConfig{Discipline: DRAM, HitDelay: 3.0 / 16, MissDelay: miss, RowWords: 4}}
+	}
+	reg := func(w float64) Config {
+		return Config{Machine: m, Bank: BankConfig{Discipline: Regulated, RegWindow: w, RegBudget: 1}}
+	}
+	const missBound = float64(1<<53/n) / 16 // n·MissDelay·16 == 2^53
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		log  bool
+	}{
+		{"dram below", dram(missBound - 1.0/16), false},
+		{"dram at", dram(missBound), true},
+		{"dram above", dram(4*missBound + 3.0/16), true},
+		{"regulated below", reg(1<<40 + 5.0/16), false},
+		{"regulated above", reg(1<<48 + 5.0/16), true},
+	} {
+		var ls lockstep
+		got, err := ls.run(context.Background(), c.cfg, pt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ls.logBusy != c.log {
+			t.Errorf("%s: logged the deferred sum = %t, want %t", c.name, ls.logBusy, c.log)
+		}
+		want, err := NewEngine().Run(context.Background(), c.cfg, pt)
+		if err != nil {
+			t.Fatalf("%s event engine: %v", c.name, err)
+		}
+		if got != want {
+			t.Errorf("%s:\n lockstep:     %+v\n event engine: %+v", c.name, got, want)
+		}
+		if c.cfg.Bank.Discipline == Regulated && got.ThrottleStalls == 0 {
+			t.Errorf("%s: no throttle stalls, the stall sum is untested", c.name)
+		}
 	}
 }
 
