@@ -47,7 +47,7 @@ func runExperiment(b *testing.B, id string) {
 	cfg := benchConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.MustRun(cfg).Render(io.Discard)
+		mustRun(b, e, cfg).Render(io.Discard)
 	}
 }
 
@@ -119,7 +119,10 @@ func BenchmarkAblationOrder(b *testing.B) {
 	m := core.J90()
 	g := rng.New(5)
 	sorted := patterns.Strided(1<<14, 0, uint64(m.Banks)/8) // bursts per bank
-	shuffled := patterns.Shuffle(sorted, g)
+	shuffled := make([]uint64, len(sorted))
+	for i, j := range g.Perm(len(sorted)) {
+		shuffled[i] = sorted[j]
+	}
 	ptSorted := core.NewPattern(sorted, m.Procs)
 	ptShuffled := core.NewPattern(shuffled, m.Procs)
 	var ratio float64

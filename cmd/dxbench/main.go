@@ -358,15 +358,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *mergeDir != "" {
 		return runMergeMode(*mergeDir, stdout, stderr)
 	}
+	env := &sweepEnv{cfg: cfg, todo: todo, r: r, injector: injector,
+		dir: *checkpoint, resume: *resume, leaseTTL: *leaseTTL, chunk: *chunk,
+		workerID: *workerID, format: *format, logx: *logx, logy: *logy,
+		timing: *timing, timeout: *timeout, stdout: stdout, stderr: stderr}
 	if *shardSpec != "" || *coordinate || *workerMode {
-		id := *workerID
-		if id == "" {
-			id = fmt.Sprintf("w%d", os.Getpid())
+		if env.workerID == "" {
+			env.workerID = fmt.Sprintf("w%d", os.Getpid())
 		}
-		env := &sweepEnv{cfg: cfg, todo: todo, r: r, injector: injector,
-			dir: *checkpoint, resume: *resume, leaseTTL: *leaseTTL, chunk: *chunk,
-			workerID: id, format: *format, logx: *logx, logy: *logy,
-			timing: *timing, stdout: stdout, stderr: stderr}
 		switch {
 		case *shardSpec != "":
 			return runShardMode(ctx, env, shard)
@@ -395,50 +394,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	results := make([]runner.Result, 0, len(todo))
-	for i, e := range todo {
-		if i > 0 {
-			fmt.Fprintln(stdout)
-		}
-		res, err := r.RunExperiment(ctx, e, cfg)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(stderr, "dxbench: timeout after %v: %v\n", *timeout, err)
-			} else {
-				fmt.Fprintf(stderr, "dxbench: %v\n", err)
-			}
-			return exitHard
-		}
-		results = append(results, res)
-		renderResult(stdout, stderr, res.Output, e.ID, *format, *logx, *logy)
-		if *timing {
-			// The timing footer is a comment in CSV so the output stays
-			// machine-parseable; text and plot get the bare line.
-			prefix := ""
-			if *format == "csv" {
-				prefix = "# "
-			}
-			fmt.Fprintf(stdout, "%s[%s in %v]\n", prefix, e.ID, res.Stats.Wall.Round(time.Millisecond))
-		}
+	results, ok := env.runSuite(ctx)
+	if !ok {
+		return exitHard
 	}
-
-	summary := runner.Event{Type: "run_done", Points: totalPoints(results), Failed: totalFailed(results)}
-	if r.Cache != nil {
-		cs := r.Cache.Stats()
-		summary.CacheHits, summary.CacheMisses, summary.CacheBypassed = cs.Hits, cs.Misses, cs.Bypassed
-		if obs != nil {
-			obs.ObserveCache(cs)
-		}
-		if r.Cache.Journal != nil {
-			js := r.Cache.Journal.Stats()
-			summary.CheckpointEntries, summary.CheckpointSkipped = js.Loaded, js.Skipped
-			summary.CheckpointRestored, summary.CheckpointAppended = js.Restored, js.Appended
-			if obs != nil {
-				obs.ObserveJournal(js)
-			}
-		}
-	}
-	r.Events.Emit(summary)
 	if *showMetrics {
 		fmt.Fprintln(stdout)
 		if err := obs.WriteReport(stdout); err != nil {
@@ -475,6 +434,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitDegraded
 	}
 	return exitOK
+}
+
+// runSuite runs env.todo in order, rendering each experiment as it
+// completes (with its -timing footer), then emits the run_done event
+// with the point, failure, cache and checkpoint totals. It stops at the
+// first error, reports it on stderr, and returns ok=false.
+func (env *sweepEnv) runSuite(ctx context.Context) (results []runner.Result, ok bool) {
+	r := env.r
+	results = make([]runner.Result, 0, len(env.todo))
+	for i, e := range env.todo {
+		if i > 0 {
+			fmt.Fprintln(env.stdout)
+		}
+		res, err := r.RunExperiment(ctx, e, env.cfg)
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				fmt.Fprintf(env.stderr, "dxbench: timeout after %v: %v\n", env.timeout, err)
+			} else {
+				fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
+			}
+			return nil, false
+		}
+		results = append(results, res)
+		renderResult(env.stdout, env.stderr, res.Output, e.ID, env.format, env.logx, env.logy)
+		if env.timing {
+			// The timing footer is a comment in CSV so the output stays
+			// machine-parseable; text and plot get the bare line.
+			prefix := ""
+			if env.format == "csv" {
+				prefix = "# "
+			}
+			fmt.Fprintf(env.stdout, "%s[%s in %v]\n", prefix, e.ID, res.Stats.Wall.Round(time.Millisecond))
+		}
+	}
+
+	summary := runner.Event{Type: "run_done", Points: totalPoints(results), Failed: totalFailed(results)}
+	if r.Cache != nil {
+		cs := r.Cache.Stats()
+		summary.CacheHits, summary.CacheMisses, summary.CacheBypassed = cs.Hits, cs.Misses, cs.Bypassed
+		if r.Metrics != nil {
+			r.Metrics.ObserveCache(cs)
+		}
+		if r.Cache.Journal != nil {
+			js := r.Cache.Journal.Stats()
+			summary.CheckpointEntries, summary.CheckpointSkipped = js.Loaded, js.Skipped
+			summary.CheckpointRestored, summary.CheckpointAppended = js.Restored, js.Appended
+			if r.Metrics != nil {
+				r.Metrics.ObserveJournal(js)
+			}
+		}
+	}
+	r.Events.Emit(summary)
+	return results, true
 }
 
 // renderResult writes one experiment result in the requested format.

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"dxbsp/internal/runner"
 )
 
 func runBench(t *testing.T, args ...string) (string, string, int) {
@@ -227,6 +231,35 @@ func TestExitCodeContract(t *testing.T) {
 	}
 	if !strings.Contains(out, "FAILED [") || !strings.Contains(out, "injected panic fault") {
 		t.Errorf("degraded output missing footnoted FAILED cells:\n%s", out)
+	}
+}
+
+// A degraded run's run_done event carries the suite's failure total,
+// the same count the stderr summary reports.
+func TestRunDoneCarriesFailureTotal(t *testing.T) {
+	ev := filepath.Join(t.TempDir(), "ev.json")
+	_, errOut, code := runBench(t, "-quick", "-experiment", "T2", "-chaos", "panic=1,seed=3", "-events", ev)
+	if code != exitDegraded {
+		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, exitDegraded, errOut)
+	}
+	var done runner.Event
+	if err := json.Unmarshal([]byte(lastEvent(t, ev, "run_done")), &done); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("completed degraded: %d point(s) failed", done.Failed); done.Failed == 0 || !strings.Contains(errOut, want) {
+		t.Errorf("run_done failed=%d does not match stderr:\n%s", done.Failed, errOut)
+	}
+}
+
+// A hard error stops the suite at the first experiment it hits: stderr
+// names that experiment once, nothing renders, and the exit code is 1.
+func TestHardErrorStopsSuite(t *testing.T) {
+	out, errOut, code := runBench(t, "-quick", "-timeout", "1ns")
+	if code != exitHard {
+		t.Fatalf("exit %d, want %d", code, exitHard)
+	}
+	if out != "" || !strings.HasPrefix(errOut, "dxbench: timeout after 1ns: T1") || strings.Count(errOut, "\n") != 1 {
+		t.Errorf("stdout %q, stderr %q", out, errOut)
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 	"dxbsp/internal/sweep"
 )
 
-// sweepEnv carries the shared setup the sweep modes need from run().
+// sweepEnv carries the setup run() shares with the suite loop and the
+// sweep modes.
 type sweepEnv struct {
 	cfg      experiments.Config
 	todo     []experiments.Experiment
@@ -42,6 +43,7 @@ type sweepEnv struct {
 	logx     bool
 	logy     bool
 	timing   bool
+	timeout  time.Duration
 	stdout   io.Writer
 	stderr   io.Writer
 }
@@ -246,33 +248,10 @@ func runCoordinatorMode(ctx context.Context, env *sweepEnv) int {
 	}
 	defer journal.Close()
 	env.attachJournal(journal)
-	results := make([]runner.Result, 0, len(env.todo))
-	for i, e := range env.todo {
-		if i > 0 {
-			fmt.Fprintln(env.stdout)
-		}
-		res, err := env.r.RunExperiment(ctx, e, env.cfg)
-		if err != nil {
-			fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-			return exitHard
-		}
-		results = append(results, res)
-		renderResult(env.stdout, env.stderr, res.Output, e.ID, env.format, env.logx, env.logy)
-		if env.timing {
-			prefix := ""
-			if env.format == "csv" {
-				prefix = "# "
-			}
-			fmt.Fprintf(env.stdout, "%s[%s in %v]\n", prefix, e.ID, res.Stats.Wall.Round(time.Millisecond))
-		}
+	results, ok := env.runSuite(ctx)
+	if !ok {
+		return exitHard
 	}
-	summary := runner.Event{Type: "run_done", Points: totalPoints(results), Failed: totalFailed(results)}
-	cs := env.r.Cache.Stats()
-	summary.CacheHits, summary.CacheMisses, summary.CacheBypassed = cs.Hits, cs.Misses, cs.Bypassed
-	js := journal.Stats()
-	summary.CheckpointEntries, summary.CheckpointSkipped = js.Loaded, js.Skipped
-	summary.CheckpointRestored, summary.CheckpointAppended = js.Restored, js.Appended
-	env.r.Events.Emit(summary)
 	if env.timing {
 		printSummary(env.stderr, env.r, results)
 	}

@@ -1,6 +1,7 @@
 package dxbsp
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestEveryExperimentHasABench(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			cfg := experiments.QuickConfig()
-			r := e.MustRun(cfg)
+			r := mustRun(t, e, cfg)
 			var b strings.Builder
 			r.Render(&b)
 			if b.Len() == 0 {
@@ -41,5 +42,15 @@ func TestBenchConfigScale(t *testing.T) {
 	if !ok {
 		t.Fatal("F2 missing")
 	}
-	e.MustRun(cfg).Render(io.Discard)
+	mustRun(t, e, cfg).Render(io.Discard)
+}
+
+// mustRun runs e serially at cfg, failing tb on error.
+func mustRun(tb testing.TB, e experiments.Experiment, cfg experiments.Config) experiments.Renderable {
+	tb.Helper()
+	r, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		tb.Fatalf("%s: %v", e.ID, err)
+	}
+	return r
 }

@@ -192,3 +192,22 @@ func TestBuildSearchTreePanics(t *testing.T) {
 		}()
 	}
 }
+
+// SerialPredecessor is the reference answer: for each query, the index of
+// the largest dict key <= query, or -1. dict must be sorted.
+func SerialPredecessor(dict, queries []int64) []int64 {
+	out := make([]int64, len(queries))
+	for i, q := range queries {
+		lo, hi := 0, len(dict) // predecessor index+1 in [lo,hi]
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if dict[mid] <= q {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out[i] = int64(lo) - 1
+	}
+	return out
+}

@@ -81,48 +81,6 @@ func ListRankWyllie(vm *vector.Machine, next []int64) ListRankResult {
 	return res
 }
 
-// SerialListRank is the reference ranking.
-func SerialListRank(next []int64) []int64 {
-	n := len(next)
-	validateList(next)
-	ranks := make([]int64, n)
-	// Find the tail, then walk from each node (memoized via reverse
-	// topological order: compute by following with memo).
-	memo := make([]int64, n)
-	for i := range memo {
-		memo[i] = -1
-	}
-	var rankOf func(i int64) int64
-	rankOf = func(i int64) int64 {
-		if next[i] == i {
-			return 0
-		}
-		if memo[i] >= 0 {
-			return memo[i]
-		}
-		// Iterative walk to avoid deep recursion on long lists.
-		var path []int64
-		j := i
-		for next[j] != j && memo[j] < 0 {
-			path = append(path, j)
-			j = next[j]
-		}
-		base := int64(0)
-		if memo[j] >= 0 {
-			base = memo[j]
-		}
-		for k := len(path) - 1; k >= 0; k-- {
-			base++
-			memo[path[k]] = base
-		}
-		return memo[i]
-	}
-	for i := range ranks {
-		ranks[i] = rankOf(int64(i))
-	}
-	return ranks
-}
-
 // MakeList builds the successor array of a single list over nodes 0..n-1
 // visiting them in the order given by perm (perm[k] is the k-th node in
 // list order; the last one is the tail, pointing to itself).

@@ -94,24 +94,6 @@ func MergeEREW(vm *vector.Machine, a, b []int64, maxKey int64) MergeResult {
 	return MergeResult{Merged: sorted.Sorted, MaxContention: vm.MaxLocContention()}
 }
 
-// SerialMerge is the reference stable merge.
-func SerialMerge(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 func checkSortedNonNegative(op string, xs []int64) {
 	if !sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] }) {
 		panic(fmt.Sprintf("algos: %s: input not sorted", op))

@@ -149,3 +149,21 @@ func TestMergeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// SerialMerge is the reference stable merge.
+func SerialMerge(a, b []int64) []int64 {
+	out := make([]int64, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] <= b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
+}

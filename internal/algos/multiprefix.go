@@ -123,20 +123,6 @@ func MultiprefixSorted(vm *vector.Machine, keys, vals []int64, numKeys int) Mult
 	return res
 }
 
-// SerialMultiprefix is the reference implementation.
-func SerialMultiprefix(keys, vals []int64, numKeys int) MultiprefixResult {
-	checkMultiprefixArgs(keys, vals, numKeys)
-	res := MultiprefixResult{
-		Prefix: make([]int64, len(keys)),
-		Totals: make([]int64, numKeys),
-	}
-	for i, k := range keys {
-		res.Prefix[i] = res.Totals[k]
-		res.Totals[k] += vals[i]
-	}
-	return res
-}
-
 func checkMultiprefixArgs(keys, vals []int64, numKeys int) {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("algos: multiprefix: %d keys vs %d values", len(keys), len(vals)))

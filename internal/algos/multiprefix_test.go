@@ -146,3 +146,17 @@ func TestMultiprefixPanics(t *testing.T) {
 		}()
 	}
 }
+
+// SerialMultiprefix is the reference implementation.
+func SerialMultiprefix(keys, vals []int64, numKeys int) MultiprefixResult {
+	checkMultiprefixArgs(keys, vals, numKeys)
+	res := MultiprefixResult{
+		Prefix: make([]int64, len(keys)),
+		Totals: make([]int64, numKeys),
+	}
+	for i, k := range keys {
+		res.Prefix[i] = res.Totals[k]
+		res.Totals[k] += vals[i]
+	}
+	return res
+}

@@ -53,20 +53,6 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-// MaxColumnFrequency returns the largest number of rows containing any one
-// column — the gather contention of SpMV.
-func (m *CSR) MaxColumnFrequency() int {
-	counts := make(map[int64]int)
-	maxC := 0
-	for _, c := range m.ColIdx {
-		counts[c]++
-		if counts[c] > maxC {
-			maxC = counts[c]
-		}
-	}
-	return maxC
-}
-
 // RandomCSR builds a rows x cols matrix with nnzPerRow random non-zeros
 // per row (column indices drawn uniformly, duplicates within a row
 // allowed, as in the paper's synthetic workload), then makes column

@@ -54,13 +54,6 @@ func (m DXLogP) Banks() int {
 	return b
 }
 
-// MessageCost returns the classic LogP cost of one request/response pair:
-// o + L + o going, the bank service, and the return. Under LogP the bank
-// service is invisible; under (d,x)-LogP it costs D.
-func (m DXLogP) MessageCost() float64 {
-	return 2*m.O + m.L + m.D
-}
-
 // BulkCost returns the (d,x)-LogP cost of a bulk phase in which each
 // processor issues at most h pipelined requests and each bank receives at
 // most k: the processor side paces at max(o, g) per message, the bank

@@ -46,13 +46,6 @@ func TestBanksRounding(t *testing.T) {
 	}
 }
 
-func TestMessageCost(t *testing.T) {
-	m := DXLogP{L: 10, O: 2, G: 1, P: 8, D: 6, X: 64}
-	if got := m.MessageCost(); got != 2*2+10+6 {
-		t.Errorf("MessageCost = %v", got)
-	}
-}
-
 func TestBulkCostRegimes(t *testing.T) {
 	m := DXLogP{L: 10, O: 2, G: 1, P: 8, D: 6, X: 64}
 	// Processor-bound: per-message pace is max(o,g)=2.

@@ -146,30 +146,3 @@ func (m Machine) BandwidthMatched() bool {
 func (m Machine) ContentionCrossover(n int) float64 {
 	return m.G * float64(n) / (float64(m.Procs) * m.D)
 }
-
-// WithExpansion returns a copy of m with the number of banks set to give
-// expansion factor x (rounded to at least one bank). Used by the expansion
-// sweep (experiment F6).
-func (m Machine) WithExpansion(x float64) Machine {
-	banks := int(math.Round(x * float64(m.Procs)))
-	if banks < 1 {
-		banks = 1
-	}
-	out := m
-	out.Banks = banks
-	out.Name = fmt.Sprintf("%s(x=%g)", m.Name, x)
-	return out
-}
-
-// WithProcs returns a copy of m scaled to p processors, holding the
-// expansion factor fixed.
-func (m Machine) WithProcs(p int) Machine {
-	x := m.Expansion()
-	out := m
-	out.Procs = p
-	out.Banks = int(math.Round(x * float64(p)))
-	if out.Banks < 1 {
-		out.Banks = 1
-	}
-	return out
-}

@@ -119,34 +119,6 @@ func TestContentionCrossover(t *testing.T) {
 	}
 }
 
-func TestWithExpansion(t *testing.T) {
-	m := C90()
-	for _, x := range []float64{1, 2, 6, 64, 128} {
-		mx := m.WithExpansion(x)
-		if got := mx.Expansion(); math.Abs(got-x) > 0.01 {
-			t.Errorf("WithExpansion(%v).Expansion() = %v", x, got)
-		}
-		if mx.D != m.D || mx.Procs != m.Procs {
-			t.Errorf("WithExpansion changed d or p: %+v", mx)
-		}
-	}
-	// Tiny expansion never yields zero banks.
-	if got := m.WithExpansion(0.0001).Banks; got < 1 {
-		t.Errorf("WithExpansion(0.0001).Banks = %d, want >= 1", got)
-	}
-}
-
-func TestWithProcs(t *testing.T) {
-	m := C90()
-	m2 := m.WithProcs(4)
-	if m2.Procs != 4 {
-		t.Fatalf("Procs = %d", m2.Procs)
-	}
-	if math.Abs(m2.Expansion()-m.Expansion()) > 0.01 {
-		t.Errorf("expansion changed: %v -> %v", m.Expansion(), m2.Expansion())
-	}
-}
-
 func TestCatalogueExpansionsExceedOne(t *testing.T) {
 	for _, m := range Catalogue() {
 		if err := m.Validate(); err != nil {

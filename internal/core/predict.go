@@ -20,20 +20,6 @@ func (m Machine) PredictBSP(p Loads) float64 {
 	return m.BSPCost(p.MaxH)
 }
 
-// PredictScatter returns the (d,x)-BSP prediction for a scatter of n
-// requests with maximum location contention maxLoc, assuming locations are
-// spread over banks as well as possible (no module-map contention): the
-// per-bank load is then the larger of the contention at the hottest
-// location and the balanced share with a random-mapping fluctuation term.
-func (m Machine) PredictScatter(n, maxLoc int) float64 {
-	h := ceilDiv(n, m.Procs)
-	k := float64(maxLoc)
-	if bal := ExpectedMaxLoad(n, m.Banks); bal > k {
-		k = bal
-	}
-	return math.Max(m.G*float64(h), m.D*k) + m.L
-}
-
 // exactMaxLoadCutoff is the largest n for which ExpectedMaxLoad computes
 // the balls-in-bins maximum exactly rather than approximating it. The
 // exact path is O(n^2 log b) per candidate maximum, so the cutoff keeps
@@ -277,26 +263,6 @@ func poissonTailMaxLoad(mean, b float64) float64 {
 		pmf *= mean / float64(m) // P(Poisson = m)
 		tail -= pmf              // P(Poisson >= m+1)
 	}
-}
-
-// PredictedSlowdownVsFlat returns the ratio of the (d,x)-BSP prediction for
-// a pattern with bank loads p to the prediction for a perfectly flat
-// pattern of the same size (contention-free, balanced banks). Values near
-// 1 mean contention is immaterial; large values quantify the contention
-// penalty.
-func (m Machine) PredictedSlowdownVsFlat(p Loads) float64 {
-	flat := Loads{
-		N:     p.N,
-		Procs: p.Procs,
-		Banks: p.Banks,
-		MaxH:  ceilDiv(p.N, p.Procs),
-		MaxK:  ceilDiv(p.N, p.Banks),
-	}
-	f := m.PredictDXBSP(flat)
-	if f == 0 {
-		return math.Inf(1)
-	}
-	return m.PredictDXBSP(p) / f
 }
 
 // CyclesPerElement converts a total cycle count for an n-element bulk

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"dxbsp/internal/rng"
@@ -19,41 +18,6 @@ func TestPredictDXBSPVsBSP(t *testing.T) {
 	hot := Loads{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n}
 	if dx, bsp := m.PredictDXBSP(hot), m.PredictBSP(hot); dx <= bsp {
 		t.Errorf("hot pattern: dx=%v should exceed bsp=%v", dx, bsp)
-	}
-}
-
-func TestPredictScatterMonotoneInContention(t *testing.T) {
-	m := J90()
-	n := 65536
-	prev := 0.0
-	for k := 1; k <= n; k *= 4 {
-		p := m.PredictScatter(n, k)
-		if p < prev {
-			t.Errorf("PredictScatter not monotone at k=%d: %v < %v", k, p, prev)
-		}
-		prev = p
-	}
-	// At k=n the scatter is fully serialized through one bank.
-	if got, want := m.PredictScatter(n, n), m.D*float64(n); got < want {
-		t.Errorf("full contention prediction %v < serial bound %v", got, want)
-	}
-}
-
-func TestPredictScatterCrossover(t *testing.T) {
-	m := J90()
-	n := 65536
-	kStar := m.ContentionCrossover(n) // ≈ 585
-	// Well below crossover: flat cost.
-	lo := m.PredictScatter(n, int(kStar/8))
-	flat := m.PredictScatter(n, 1)
-	if math.Abs(lo-flat)/flat > 0.05 {
-		t.Errorf("below crossover should be ~flat: %v vs %v", lo, flat)
-	}
-	// Well above: cost ≈ d*k.
-	k := int(kStar * 16)
-	hi := m.PredictScatter(n, k)
-	if want := m.D * float64(k); math.Abs(hi-want)/want > 0.05 {
-		t.Errorf("above crossover: %v, want ≈ %v", hi, want)
 	}
 }
 
@@ -201,20 +165,6 @@ func TestExpectedMaxLoadMonotone(t *testing.T) {
 			t.Errorf("ExpectedMaxLoad not monotone in n at %d: %v < %v", n, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestPredictedSlowdownVsFlat(t *testing.T) {
-	m := J90()
-	n := 65536
-	flat := Loads{N: n, Procs: 8, Banks: 512, MaxH: n / 8, MaxK: n / 512}
-	if s := m.PredictedSlowdownVsFlat(flat); math.Abs(s-1) > 1e-9 {
-		t.Errorf("flat slowdown = %v, want 1", s)
-	}
-	hot := flat
-	hot.MaxK = n
-	if s := m.PredictedSlowdownVsFlat(hot); s < 10 {
-		t.Errorf("hot slowdown = %v, want large", s)
 	}
 }
 

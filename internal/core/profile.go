@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -74,23 +73,6 @@ func NewPattern(addrs []uint64, p int) Pattern {
 	return Pattern{PerProc: per}
 }
 
-// NewPatternBlocked distributes a flat address stream in contiguous blocks:
-// processor 0 gets the first n/p addresses, and so on. This matches how
-// the paper's multiprocessor experiments divide an array among CPUs.
-func NewPatternBlocked(addrs []uint64, p int) Pattern {
-	if p <= 0 {
-		panic(fmt.Sprintf("core: NewPatternBlocked with p=%d", p))
-	}
-	per := make([][]uint64, p)
-	n := len(addrs)
-	for i := 0; i < p; i++ {
-		lo := i * n / p
-		hi := (i + 1) * n / p
-		per[i] = addrs[lo:hi:hi]
-	}
-	return Pattern{PerProc: per}
-}
-
 // N returns the total number of requests in the pattern.
 func (pt Pattern) N() int {
 	n := 0
@@ -102,25 +84,6 @@ func (pt Pattern) N() int {
 
 // Procs returns the number of processors in the pattern.
 func (pt Pattern) Procs() int { return len(pt.PerProc) }
-
-// Flatten returns all addresses in round-robin issue order.
-func (pt Pattern) Flatten() []uint64 {
-	out := make([]uint64, 0, pt.N())
-	maxLen := 0
-	for _, a := range pt.PerProc {
-		if len(a) > maxLen {
-			maxLen = len(a)
-		}
-	}
-	for j := 0; j < maxLen; j++ {
-		for _, a := range pt.PerProc {
-			if j < len(a) {
-				out = append(out, a[j])
-			}
-		}
-	}
-	return out
-}
 
 // Loads is the part of a pattern's profile the (d,x)-BSP cost law
 // T = max(g·h, d·k) + L reads: the request count, the machine shape, and
@@ -281,26 +244,6 @@ func LocationSpectrum(pt Pattern) map[int]int {
 		spectrum[c]++
 	}
 	return spectrum
-}
-
-// LoadPercentile returns the q-quantile (0 <= q <= 1) of the per-bank load
-// distribution. Requires the profile to have been computed with the
-// histogram retained.
-func (p Profile) LoadPercentile(q float64) int {
-	if p.BankLoads == nil {
-		panic("core: LoadPercentile on compact profile")
-	}
-	loads := make([]int, len(p.BankLoads))
-	copy(loads, p.BankLoads)
-	sort.Ints(loads)
-	idx := int(q * float64(len(loads)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(loads) {
-		idx = len(loads) - 1
-	}
-	return loads[idx]
 }
 
 // String implements fmt.Stringer.

@@ -27,19 +27,6 @@ func TestNewPatternRoundRobin(t *testing.T) {
 	}
 }
 
-func TestNewPatternBlocked(t *testing.T) {
-	addrs := []uint64{10, 11, 12, 13, 14, 15, 16, 17}
-	pt := NewPatternBlocked(addrs, 4)
-	for i := 0; i < 4; i++ {
-		if len(pt.PerProc[i]) != 2 {
-			t.Fatalf("proc %d len %d", i, len(pt.PerProc[i]))
-		}
-	}
-	if pt.PerProc[0][0] != 10 || pt.PerProc[3][1] != 17 {
-		t.Errorf("blocked layout wrong: %v", pt.PerProc)
-	}
-}
-
 func TestNewPatternEmptyAndPanics(t *testing.T) {
 	pt := NewPattern(nil, 4)
 	if pt.N() != 0 || pt.Procs() != 4 {
@@ -51,31 +38,6 @@ func TestNewPatternEmptyAndPanics(t *testing.T) {
 		}
 	}()
 	NewPattern([]uint64{1}, 0)
-}
-
-func TestFlattenPreservesMultiset(t *testing.T) {
-	g := rng.New(42)
-	addrs := make([]uint64, 1000)
-	for i := range addrs {
-		addrs[i] = g.Uint64n(100)
-	}
-	pt := NewPattern(addrs, 7)
-	flat := pt.Flatten()
-	if len(flat) != len(addrs) {
-		t.Fatalf("Flatten length %d, want %d", len(flat), len(addrs))
-	}
-	count := map[uint64]int{}
-	for _, a := range addrs {
-		count[a]++
-	}
-	for _, a := range flat {
-		count[a]--
-	}
-	for k, v := range count {
-		if v != 0 {
-			t.Fatalf("multiset mismatch at %d: %d", k, v)
-		}
-	}
 }
 
 func TestProfileAllSameLocation(t *testing.T) {
@@ -158,7 +120,7 @@ func TestProfileCompactMatches(t *testing.T) {
 		"random":  NewPattern(addrs, 8),
 		"empty":   NewPattern(nil, 8),
 		"ragged":  ragged,
-		"blocked": NewPatternBlocked(addrs[:37], 5),
+		"blocked": {PerProc: [][]uint64{addrs[0:7], addrs[7:14], addrs[14:22], addrs[22:29], addrs[29:37]}},
 	}
 	maps := []BankMap{InterleaveMap{Banks: 64}, GPUSharedMap{Banks: 32}}
 	for name, pt := range patterns {
@@ -179,19 +141,6 @@ func TestProfileCompactMatches(t *testing.T) {
 	}
 	if l := ComputeLoads(ragged, InterleaveMap{Banks: 4}); l != (Loads{N: 9, Procs: 4, Banks: 4, MaxH: 5, MaxK: 4}) {
 		t.Errorf("ragged loads = %+v", l)
-	}
-}
-
-func TestLoadPercentile(t *testing.T) {
-	prof := Profile{BankLoads: []int{5, 1, 3, 2, 4}}
-	if got := prof.LoadPercentile(0); got != 1 {
-		t.Errorf("p0 = %d, want 1", got)
-	}
-	if got := prof.LoadPercentile(1); got != 5 {
-		t.Errorf("p100 = %d, want 5", got)
-	}
-	if got := prof.LoadPercentile(0.5); got != 3 {
-		t.Errorf("p50 = %d, want 3", got)
 	}
 }
 

@@ -148,16 +148,6 @@ func (e Experiment) Run(ctx context.Context, cfg Config) (Renderable, error) {
 	return e.Assemble(cfg, results), nil
 }
 
-// MustRun is Run with a background context, panicking on error — the
-// convenience used by tests and benchmarks.
-func (e Experiment) MustRun(cfg Config) Renderable {
-	r, err := e.Run(context.Background(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", e.ID, err))
-	}
-	return r
-}
-
 // tableRows is the Value stored by sweep points: the rows the point
 // contributes to the experiment's table, in order.
 type tableRows [][]interface{}

@@ -17,13 +17,23 @@ func render(t *testing.T, r Renderable) string {
 	return b.String()
 }
 
+// mustRun runs e serially at cfg, failing tb on error.
+func mustRun(tb testing.TB, e Experiment, cfg Config) Renderable {
+	tb.Helper()
+	r, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		tb.Fatalf("%s: %v", e.ID, err)
+	}
+	return r
+}
+
 func mustRunID(t *testing.T, id string, cfg Config) Renderable {
 	t.Helper()
 	e, ok := Lookup(id)
 	if !ok {
 		t.Fatalf("unknown experiment %s", id)
 	}
-	return e.MustRun(cfg)
+	return mustRun(t, e, cfg)
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -61,11 +71,11 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			out := render(t, e.MustRun(cfg))
+			out := render(t, mustRun(t, e, cfg))
 			if len(out) < 40 {
 				t.Errorf("%s output suspiciously short:\n%s", e.ID, out)
 			}
-			if tbl, ok := e.MustRun(cfg).(*tablefmt.Table); ok && tbl.NumRows() == 0 {
+			if tbl, ok := mustRun(t, e, cfg).(*tablefmt.Table); ok && tbl.NumRows() == 0 {
 				t.Errorf("%s produced an empty table", e.ID)
 			}
 		})
@@ -84,7 +94,7 @@ func TestPointOrderIndependence(t *testing.T) {
 		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			want := render(t, e.MustRun(cfg))
+			want := render(t, mustRun(t, e, cfg))
 
 			pts := e.Points(cfg)
 			results := make([]PointResult, len(pts))

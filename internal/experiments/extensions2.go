@@ -63,13 +63,17 @@ func expX11() Experiment {
 		nVerts := cfg.N / 8
 		gr := algos.RandomGraph(nVerts, 2*nVerts, rng.New(cfg.Seed))
 
-		// Capture every irregular superstep's address multiset. Addresses are
-		// reconstructed from the profile via a capture trace on the VM.
+		// Capture every irregular superstep's address multiset. The VM
+		// reuses addrs after the callback, so each step is copied into a
+		// shared buffer that is replaced, never regrown, when it fills.
 		var steps [][]uint64
-		vm := vector.New(core.J90(), vector.WithCapture(func(op string, addrs []uint64) {
-			cp := make([]uint64, len(addrs))
-			copy(cp, addrs)
-			steps = append(steps, cp)
+		var buf []uint64
+		vm := vector.New(core.J90(), vector.WithCapture(func(_ string, addrs []uint64) {
+			if cap(buf)-len(buf) < len(addrs) {
+				buf = make([]uint64, 0, max(len(addrs), 1<<14))
+			}
+			buf = append(buf, addrs...)
+			steps = append(steps, buf[len(buf)-len(addrs):])
 		}))
 		algos.ConnectedComponents(vm, gr, rng.New(cfg.Seed^0x77))
 

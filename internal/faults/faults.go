@@ -210,11 +210,6 @@ type Stats struct {
 	Panics, Errors, Delays, Cancels, Corrupted, Torn uint64
 }
 
-// Total returns the number of injected faults of all kinds.
-func (s Stats) Total() uint64 {
-	return s.Panics + s.Errors + s.Delays + s.Cancels + s.Corrupted + s.Torn
-}
-
 // String renders the nonzero counters, e.g. "errors=3 cancels=1".
 func (s Stats) String() string {
 	parts := []string{}

@@ -169,16 +169,6 @@ func MaxContention(addrs []uint64) int {
 	return maxC
 }
 
-// Shuffle returns a copy of addrs in a random order. The paper observes
-// that injection order affects network behaviour; the order ablation bench
-// uses this.
-func Shuffle(addrs []uint64, g *rng.Xoshiro256) []uint64 {
-	out := make([]uint64, len(addrs))
-	copy(out, addrs)
-	g.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
 // WorstCaseBank returns n distinct addresses that all map to bank 0 under
 // interleaved mapping over banks banks (stride = banks). This is the
 // worst-case reference pattern of the module-map contention study (F7):

@@ -158,25 +158,6 @@ func TestMeasureEntropy(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	g := rng.New(2)
-	a := Uniform(1000, 50, g)
-	b := Shuffle(a, g)
-	if len(a) != len(b) {
-		t.Fatal("length changed")
-	}
-	ca, cb := map[uint64]int{}, map[uint64]int{}
-	for i := range a {
-		ca[a[i]]++
-		cb[b[i]]++
-	}
-	for k, v := range ca {
-		if cb[k] != v {
-			t.Fatalf("multiset mismatch at %d", k)
-		}
-	}
-}
-
 func TestZipfRangeAndSkew(t *testing.T) {
 	g := rng.New(12)
 	n, m := 20000, 1000

@@ -112,30 +112,6 @@ type Instr struct {
 // element of a stream (e.g. the body of a vectorized loop).
 type Kernel []Instr
 
-// Common kernel builders.
-
-// ElementwiseKernel returns a kernel with the given per-element
-// instruction mix: loads inputs, does the arithmetic, stores the result.
-func ElementwiseKernel(loads, muls, adds, shifts, stores int) Kernel {
-	var k Kernel
-	for i := 0; i < loads; i++ {
-		k = append(k, Instr{UnitLoad, "vload"})
-	}
-	for i := 0; i < muls; i++ {
-		k = append(k, Instr{UnitMul, "vmul"})
-	}
-	for i := 0; i < adds; i++ {
-		k = append(k, Instr{UnitAdd, "vadd"})
-	}
-	for i := 0; i < shifts; i++ {
-		k = append(k, Instr{UnitShift, "vshift"})
-	}
-	for i := 0; i < stores; i++ {
-		k = append(k, Instr{UnitStore, "vstore"})
-	}
-	return k
-}
-
 // HashKernel returns the vectorized evaluation kernel of a polynomial
 // hash with the given operation counts (see hashfn.OpCounts): load the
 // address stream, do the arithmetic, keep the result in register (no

@@ -29,7 +29,7 @@ func TestRunEmpty(t *testing.T) {
 	if c.Cycles != 0 {
 		t.Errorf("empty kernel cycles = %v", c.Cycles)
 	}
-	c, err = Run(J90Unit(), ElementwiseKernel(1, 0, 1, 0, 1), 0)
+	c, err = Run(J90Unit(), elementwiseKernel(1, 0, 1, 0, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestChainedSingleInstruction(t *testing.T) {
 	// One vload over exactly 10 strips: 10*VL + 10*startup cycles.
 	cfg := J90Unit()
 	n := 10 * cfg.VL
-	c, err := Run(cfg, ElementwiseKernel(1, 0, 0, 0, 0), n)
+	c, err := Run(cfg, elementwiseKernel(1, 0, 0, 0, 0), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestChainingOverlapsClasses(t *testing.T) {
 func TestPortPressure(t *testing.T) {
 	// Two loads on the J90's single port: 2 cycles/element. Same kernel
 	// on the C90's two ports: 1 cycle/element.
-	k := ElementwiseKernel(2, 0, 0, 0, 0)
+	k := elementwiseKernel(2, 0, 0, 0, 0)
 	n := 1 << 14
 	j, err := Run(J90Unit(), k, n)
 	if err != nil {
@@ -160,7 +160,7 @@ func TestPartialStrip(t *testing.T) {
 	cfg := J90Unit()
 	cfg.Startup = 0
 	n := cfg.VL + 1
-	c, err := Run(cfg, ElementwiseKernel(1, 0, 0, 0, 0), n)
+	c, err := Run(cfg, elementwiseKernel(1, 0, 0, 0, 0), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,22 +186,22 @@ func TestRunMonotoneProperty(t *testing.T) {
 	f := func(loads, adds uint8, nRaw uint16) bool {
 		l, a := int(loads%4), int(adds%4)
 		n := int(nRaw%4096) + 1
-		base, err := Run(cfg, ElementwiseKernel(l, 0, a, 0, 0), n)
+		base, err := Run(cfg, elementwiseKernel(l, 0, a, 0, 0), n)
 		if err != nil {
 			return false
 		}
-		more, err := Run(cfg, ElementwiseKernel(l+1, 0, a+1, 0, 1), n)
+		more, err := Run(cfg, elementwiseKernel(l+1, 0, a+1, 0, 1), n)
 		if err != nil {
 			return false
 		}
 		if more.Cycles < base.Cycles {
 			return false
 		}
-		bigger, err := Run(cfg, ElementwiseKernel(l+1, 0, a, 0, 0), n*2)
+		bigger, err := Run(cfg, elementwiseKernel(l+1, 0, a, 0, 0), n*2)
 		if err != nil {
 			return false
 		}
-		smaller, err := Run(cfg, ElementwiseKernel(l+1, 0, a, 0, 0), n)
+		smaller, err := Run(cfg, elementwiseKernel(l+1, 0, a, 0, 0), n)
 		if err != nil {
 			return false
 		}
@@ -210,4 +210,26 @@ func TestRunMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// elementwiseKernel returns a kernel with the given per-element
+// instruction mix: loads inputs, does the arithmetic, stores the result.
+func elementwiseKernel(loads, muls, adds, shifts, stores int) Kernel {
+	var k Kernel
+	for i := 0; i < loads; i++ {
+		k = append(k, Instr{UnitLoad, "vload"})
+	}
+	for i := 0; i < muls; i++ {
+		k = append(k, Instr{UnitMul, "vmul"})
+	}
+	for i := 0; i < adds; i++ {
+		k = append(k, Instr{UnitAdd, "vadd"})
+	}
+	for i := 0; i < shifts; i++ {
+		k = append(k, Instr{UnitShift, "vshift"})
+	}
+	for i := 0; i < stores; i++ {
+		k = append(k, Instr{UnitStore, "vstore"})
+	}
+	return k
 }

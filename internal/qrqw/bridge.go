@@ -50,16 +50,6 @@ func ProgramFromTraces(steps [][]uint64, v int) Program {
 	return prog
 }
 
-// StepContentions returns κ for every step — the contention profile of
-// the program, the quantity the paper's algorithm studies report.
-func (p Program) StepContentions() []int {
-	out := make([]int, len(p.Steps))
-	for i, s := range p.Steps {
-		out[i] = s.kappa
-	}
-	return out
-}
-
 // MaxContention returns the largest per-step contention in the program.
 func (p Program) MaxContention() int {
 	m := 0
@@ -67,13 +57,4 @@ func (p Program) MaxContention() int {
 		m = max(m, s.kappa)
 	}
 	return m
-}
-
-// TotalRequests returns the total number of memory accesses.
-func (p Program) TotalRequests() int {
-	n := 0
-	for _, s := range p.Steps {
-		n += s.Requests()
-	}
-	return n
 }

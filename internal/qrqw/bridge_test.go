@@ -21,12 +21,11 @@ func TestProgramFromTraces(t *testing.T) {
 	if len(prog.Steps) != 3 {
 		t.Fatalf("steps = %d", len(prog.Steps))
 	}
-	if prog.TotalRequests() != 7 {
-		t.Errorf("TotalRequests = %d", prog.TotalRequests())
+	if n := prog.Steps[0].Requests() + prog.Steps[1].Requests() + prog.Steps[2].Requests(); n != 7 {
+		t.Errorf("requests = %d", n)
 	}
-	ks := prog.StepContentions()
-	if ks[0] != 3 || ks[1] != 2 || ks[2] != 0 {
-		t.Errorf("StepContentions = %v", ks)
+	if k0, k1, k2 := prog.Steps[0].kappa, prog.Steps[1].kappa, prog.Steps[2].kappa; k0 != 3 || k1 != 2 || k2 != 0 {
+		t.Errorf("step contentions = %d, %d, %d", k0, k1, k2)
 	}
 	if prog.MaxContention() != 3 {
 		t.Errorf("MaxContention = %d", prog.MaxContention())
@@ -92,9 +91,9 @@ func TestProgramFromTracesMatchesRoundRobin(t *testing.T) {
 					t.Fatalf("v=%d step %d vp %d: %v, want %v", v, s, i, got.vp(i), lists[i])
 				}
 			}
-			if got.MaxOps() != want.MaxOps() || got.Contention() != want.Contention() || got.Requests() != len(addrs) {
+			if got.maxOps != want.maxOps || got.Contention() != want.Contention() || got.Requests() != len(addrs) {
 				t.Errorf("v=%d step %d: ops, κ, n = %d, %d, %d; want %d, %d, %d", v, s,
-					got.MaxOps(), got.Contention(), got.Requests(), want.MaxOps(), want.Contention(), len(addrs))
+					got.maxOps, got.Contention(), got.Requests(), want.maxOps, want.Contention(), len(addrs))
 			}
 		}
 	}

@@ -17,10 +17,6 @@ import (
 // so the slackness required for work preservation is smaller and does
 // not depend on step contention.
 
-// IsEREW reports whether every step of the program has contention at most
-// 1 — i.e. the program is a legal EREW PRAM program.
-func (p Program) IsEREW() bool { return p.MaxContention() <= 1 }
-
 // EREWProgram returns a program of the given number of steps in which
 // each of v virtual processors accesses a distinct location per step (a
 // random permutation of a disjoint address block), so κ = 1 everywhere.

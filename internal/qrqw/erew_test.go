@@ -12,20 +12,13 @@ func TestEREWProgramHasNoContention(t *testing.T) {
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !prog.IsEREW() {
+	if prog.MaxContention() != 1 {
 		t.Fatal("EREWProgram produced contention")
 	}
 	for i, s := range prog.Steps {
 		if s.Contention() != 1 {
 			t.Errorf("step %d contention %d", i, s.Contention())
 		}
-	}
-}
-
-func TestIsEREW(t *testing.T) {
-	con := ContentionProgram(16, 1, 4, 1, rng.New(2))
-	if con.IsEREW() {
-		t.Error("contended program classified EREW")
 	}
 }
 

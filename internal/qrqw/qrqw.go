@@ -23,8 +23,9 @@
 // makes the large-expansion emulation work-preserving).
 //
 // A Step stores its access lists flat (one address array in virtual-
-// processor order, V+1 int32 offsets) with MaxOps and κ computed when it is
-// built, and Analytic emulation charges h and k from that form directly.
+// processor order, V+1 int32 offsets) with its most operations per virtual
+// processor and κ computed when it is built, and Analytic emulation
+// charges h and k from that form directly.
 package qrqw
 
 import (
@@ -46,19 +47,8 @@ type Step struct {
 	maxOps, kappa int
 }
 
-// NewStep builds a step from each virtual processor's access list.
-func NewStep(accesses [][]uint64) Step {
-	off := make([]int32, 1, len(accesses)+1)
-	var addrs []uint64
-	for _, a := range accesses {
-		addrs = append(addrs, a...)
-		off = append(off, int32(len(addrs)))
-	}
-	return newStep(addrs, off, new(core.Profiler))
-}
-
 // newStep wraps the flat lists addrs and offsets off as a step, computing
-// MaxOps and κ on pr's buffers.
+// the most operations per virtual processor and κ on pr's buffers.
 func newStep(addrs []uint64, off []int32, pr *core.Profiler) Step {
 	if len(addrs) > math.MaxInt32 {
 		panic(fmt.Sprintf("qrqw: step of %d accesses overflows its int32 offsets", len(addrs)))
@@ -77,15 +67,12 @@ func newStep(addrs []uint64, off []int32, pr *core.Profiler) Step {
 // vp returns the accesses of virtual processor i.
 func (s Step) vp(i int) []uint64 { return s.addrs[s.off[i]:s.off[i+1]] }
 
-// MaxOps returns the maximum number of operations by any virtual
-// processor in the step.
-func (s Step) MaxOps() int { return s.maxOps }
-
 // Contention returns κ, the maximum number of accesses to any single
 // location in the step.
 func (s Step) Contention() int { return s.kappa }
 
-// Cost returns the QRQW time of the step: max(MaxOps, Contention).
+// Cost returns the QRQW time of the step: the larger of the most
+// operations by any virtual processor and the contention κ.
 func (s Step) Cost() int { return max(s.maxOps, s.kappa) }
 
 // Requests returns the total number of memory requests in the step.
@@ -138,10 +125,6 @@ func (p Program) Time() int {
 	}
 	return t
 }
-
-// Work returns V * Time, the processor-time product the emulation must
-// preserve up to constants.
-func (p Program) Work() int { return p.V * p.Time() }
 
 // Validate checks that every step has exactly V access lists.
 func (p Program) Validate() error {

@@ -12,8 +12,8 @@ import (
 func TestStepCost(t *testing.T) {
 	// 4 procs; two access location 5, one accesses 6, one does two ops.
 	st := NewStep([][]uint64{{5}, {5}, {6}, {7, 8}})
-	if got := st.MaxOps(); got != 2 {
-		t.Errorf("MaxOps = %d", got)
+	if got := st.maxOps; got != 2 {
+		t.Errorf("maxOps = %d", got)
 	}
 	if got := st.Contention(); got != 2 {
 		t.Errorf("Contention = %d", got)
@@ -44,9 +44,6 @@ func TestProgramTimeWork(t *testing.T) {
 	if p.Time() != 3 {
 		t.Errorf("Time = %d", p.Time())
 	}
-	if p.Work() != 12 {
-		t.Errorf("Work = %d", p.Work())
-	}
 	if err := p.Validate(); err != nil {
 		t.Error(err)
 	}
@@ -72,8 +69,8 @@ func TestRandomProgramShape(t *testing.T) {
 		t.Fatalf("steps = %d", len(p.Steps))
 	}
 	for _, st := range p.Steps {
-		if st.MaxOps() != 1 {
-			t.Fatalf("MaxOps = %d, want 1", st.MaxOps())
+		if st.maxOps != 1 {
+			t.Fatalf("maxOps = %d, want 1", st.maxOps)
 		}
 		// Over a 2^20 space with 64 procs, contention should be tiny.
 		if st.Contention() > 3 {
@@ -318,16 +315,21 @@ func TestContentionMatchesMap(t *testing.T) {
 		if got := st.Contention(); got != want[i] {
 			t.Errorf("step %d: Contention = %d, map oracle %d", i, got, want[i])
 		}
-		time += max(st.MaxOps(), want[i])
+		time += max(st.maxOps, want[i])
 		maxC = max(maxC, want[i])
-	}
-	got := prog.StepContentions()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("StepContentions[%d] = %d, want %d", i, got[i], want[i])
-		}
 	}
 	if prog.Time() != time || prog.MaxContention() != maxC {
 		t.Errorf("Time, MaxContention = %d, %d; want %d, %d", prog.Time(), prog.MaxContention(), time, maxC)
 	}
+}
+
+// NewStep builds a step from each virtual processor's access list.
+func NewStep(accesses [][]uint64) Step {
+	off := make([]int32, 1, len(accesses)+1)
+	var addrs []uint64
+	for _, a := range accesses {
+		addrs = append(addrs, a...)
+		off = append(off, int32(len(addrs)))
+	}
+	return newStep(addrs, off, new(core.Profiler))
 }

@@ -136,11 +136,3 @@ func (g *Xoshiro256) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomly permutes the n elements addressed by swap.
-func (g *Xoshiro256) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := g.Intn(i + 1)
-		swap(i, j)
-	}
-}

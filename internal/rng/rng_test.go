@@ -177,23 +177,6 @@ func TestPermProperty(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	g := New(77)
-	a := []int{1, 2, 2, 3, 5, 8, 13, 21}
-	sumBefore := 0
-	for _, v := range a {
-		sumBefore += v
-	}
-	g.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-	sumAfter := 0
-	for _, v := range a {
-		sumAfter += v
-	}
-	if sumBefore != sumAfter {
-		t.Errorf("shuffle changed contents: %v", a)
-	}
-}
-
 func BenchmarkXoshiroUint64(b *testing.B) {
 	g := New(1)
 	var sink uint64

@@ -154,17 +154,6 @@ func (j *Journal) Sync() error {
 	return j.f.Sync()
 }
 
-// Header returns the journal's header record, if one was loaded on resume
-// or written this run.
-func (j *Journal) Header() (JournalHeader, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.hdr == nil {
-		return JournalHeader{}, false
-	}
-	return *j.hdr, true
-}
-
 // WriteHeader records h as the journal's producer identity. On a fresh
 // journal the header is written as the first record; on resume the loaded
 // header must match h exactly — a mismatch means the caller is about to

@@ -545,13 +545,6 @@ func (o *Observer) PointLatencySummary() stats.Summary {
 	return stats.Summarize(secs)
 }
 
-// Runs returns the number of distinct simulations observed.
-func (o *Observer) Runs() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.contribs)
-}
-
 // probeRunner attaches a sim.Probe to every simulation request passing
 // through it, then delegates to the rest of the chain (cache → injector →
 // simulator). It sits at the top so the probe rides the Config through

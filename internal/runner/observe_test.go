@@ -246,3 +246,10 @@ func TestObserverBankProfileAndSummaries(t *testing.T) {
 		t.Error("repeated snapshot export not byte-identical")
 	}
 }
+
+// Runs returns the number of distinct simulations observed.
+func (o *Observer) Runs() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.contribs)
+}

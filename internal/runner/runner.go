@@ -314,54 +314,3 @@ dispatch:
 		Failed: st.Failed})
 	return Result{ID: e.ID, Title: e.Title, Output: out, Stats: st, Failed: failed}, nil
 }
-
-// RunAll executes the experiments in order, stopping at the first error.
-// In degraded mode a point failure is not an error: the experiment's
-// output carries footnoted cells and the suite continues. Each
-// experiment's points run across the pool; the shared Cache carries
-// memoized simulations from one experiment to the next. The final
-// "run_done" event carries the cache, failure and checkpoint totals.
-func (r *Runner) RunAll(ctx context.Context, exps []experiments.Experiment, cfg experiments.Config) ([]Result, error) {
-	out := make([]Result, 0, len(exps))
-	for _, e := range exps {
-		res, err := r.RunExperiment(ctx, e, cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	if r.Metrics != nil && r.Cache != nil {
-		r.Metrics.ObserveCache(r.Cache.Stats())
-		if r.Cache.Journal != nil {
-			r.Metrics.ObserveJournal(r.Cache.Journal.Stats())
-		}
-	}
-	ev := Event{Type: "run_done", Points: totalPoints(out), Failed: totalFailed(out)}
-	if r.Cache != nil {
-		cs := r.Cache.Stats()
-		ev.CacheHits, ev.CacheMisses, ev.CacheBypassed = cs.Hits, cs.Misses, cs.Bypassed
-		if r.Cache.Journal != nil {
-			js := r.Cache.Journal.Stats()
-			ev.CheckpointEntries, ev.CheckpointSkipped = js.Loaded, js.Skipped
-			ev.CheckpointRestored, ev.CheckpointAppended = js.Restored, js.Appended
-		}
-	}
-	r.Events.emit(ev)
-	return out, nil
-}
-
-func totalPoints(rs []Result) int {
-	n := 0
-	for _, r := range rs {
-		n += r.Stats.Points
-	}
-	return n
-}
-
-func totalFailed(rs []Result) int {
-	n := 0
-	for _, r := range rs {
-		n += r.Stats.Failed
-	}
-	return n
-}

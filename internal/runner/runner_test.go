@@ -36,7 +36,7 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			want := render(t, e.MustRun(cfg))
+			want := render(t, mustRun(t, e, cfg))
 			for _, workers := range []int{1, 3, 8} {
 				r := &Runner{Parallel: workers, Cache: NewCache()}
 				res, err := r.RunExperiment(ctx, e, cfg)
@@ -113,7 +113,9 @@ func TestCacheHitsAcrossExperiments(t *testing.T) {
 	}
 }
 
-func TestRunAllStopsOnError(t *testing.T) {
+// A hard point error fails the experiment, names it, and skips
+// assembly; dxbench stops the suite on it (TestHardErrorStopsSuite).
+func TestRunExperimentErrorNamesExperiment(t *testing.T) {
 	boom := experiments.Experiment{
 		ID:    "BOOM",
 		Title: "always fails",
@@ -130,13 +132,9 @@ func TestRunAllStopsOnError(t *testing.T) {
 		},
 	}
 	r := &Runner{Parallel: 2}
-	e2, _ := experiments.Lookup("T1")
-	results, err := r.RunAll(context.Background(), []experiments.Experiment{boom, e2}, experiments.QuickConfig())
+	_, err := r.RunExperiment(context.Background(), boom, experiments.QuickConfig())
 	if err == nil {
-		t.Fatal("RunAll swallowed the point error")
-	}
-	if len(results) != 0 {
-		t.Errorf("RunAll continued past the failure: %d results", len(results))
+		t.Fatal("RunExperiment swallowed the point error")
 	}
 	if !strings.Contains(err.Error(), "BOOM") {
 		t.Errorf("error %q does not name the experiment", err)
@@ -333,4 +331,14 @@ func TestCacheReturnsErrors(t *testing.T) {
 			t.Fatal("invalid config succeeded")
 		}
 	}
+}
+
+// mustRun runs e serially at cfg, failing tb on error.
+func mustRun(tb testing.TB, e experiments.Experiment, cfg experiments.Config) experiments.Renderable {
+	tb.Helper()
+	r, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		tb.Fatalf("%s: %v", e.ID, err)
+	}
+	return r
 }

@@ -46,11 +46,6 @@ const (
 	GPUShared
 )
 
-// Disciplines lists every discipline in tag order.
-func Disciplines() []Discipline {
-	return []Discipline{FIFO, DRAM, Regulated, GPUShared}
-}
-
 // String returns the canonical lower-case name used by CLI flags and the
 // runner's cache fingerprint.
 func (d Discipline) String() string {

@@ -108,125 +108,6 @@ func TestSummarizeAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestGeoMeanProperties(t *testing.T) {
-	g := rng.New(0xbead)
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + g.Intn(20)
-		xs := make([]float64, n)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range xs {
-			xs[i] = math.Exp(g.Float64()*10 - 5)
-			lo = math.Min(lo, xs[i])
-			hi = math.Max(hi, xs[i])
-		}
-		gm := GeoMean(xs)
-		if gm < lo*(1-1e-9) || gm > hi*(1+1e-9) {
-			t.Fatalf("GeoMean %g escapes [%g, %g]", gm, lo, hi)
-		}
-		// Scale equivariance: GeoMean(c·xs) = c·GeoMean(xs).
-		scaled := make([]float64, n)
-		for i, x := range xs {
-			scaled[i] = 3 * x
-		}
-		if got := GeoMean(scaled); math.Abs(got-3*gm) > 1e-9*(1+3*gm) {
-			t.Fatalf("GeoMean not scale-equivariant: %g vs %g", got, 3*gm)
-		}
-	}
-	if got := GeoMean([]float64{7}); got != 7 {
-		t.Errorf("GeoMean single = %g, want 7", got)
-	}
-	if GeoMean([]float64{-1, 2}) != 0 {
-		t.Error("GeoMean with negative input should be 0")
-	}
-}
-
-// TestHistogramProperties pins bin assignment behavior on randomized
-// inputs: counts conserve non-NaN mass, NaNs are dropped, ±Inf clamp to
-// the edge bins, and every finite in-range value lands in the bin whose
-// half-open interval [min + b·w, min + (b+1)·w) contains it (values on an
-// interior edge belong to the upper bin; the top bin is closed at max).
-func TestHistogramProperties(t *testing.T) {
-	g := rng.New(0xc0de)
-	for trial := 0; trial < 200; trial++ {
-		nBins := 1 + g.Intn(12)
-		min := g.Float64()*100 - 50
-		max := min + g.Float64()*100 + 0.001
-		n := g.Intn(60)
-		xs := make([]float64, n)
-		nan := 0
-		for i := range xs {
-			switch g.Intn(8) {
-			case 0:
-				xs[i] = math.NaN()
-				nan++
-			case 1:
-				xs[i] = math.Inf(1)
-			case 2:
-				xs[i] = math.Inf(-1)
-			case 3: // exact bin edge
-				w := (max - min) / float64(nBins)
-				xs[i] = min + float64(g.Intn(nBins+1))*w
-			default:
-				xs[i] = min + (g.Float64()*1.5-0.25)*(max-min)
-			}
-		}
-		h := NewHistogram(xs, min, max, nBins)
-
-		total := 0
-		for _, c := range h.Counts {
-			total += c
-		}
-		if total != n-nan {
-			t.Fatalf("histogram counts %d values, want %d (n=%d, %d NaN)", total, n-nan, n, nan)
-		}
-		w := (max - min) / float64(nBins)
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			want := 0
-			if pos := (x - min) / w; pos >= float64(nBins) {
-				want = nBins - 1
-			} else if pos > 0 {
-				want = int(pos)
-			}
-			// Re-binning a single value must agree with the bulk pass.
-			h1 := NewHistogram([]float64{x}, min, max, nBins)
-			if h1.Counts[want] != 1 {
-				t.Fatalf("value %g binned inconsistently (want bin %d): %v", x, want, h1.Counts)
-			}
-		}
-	}
-}
-
-func TestHistogramInfAndNaN(t *testing.T) {
-	h := NewHistogram([]float64{math.Inf(-1), math.Inf(1), math.NaN(), 0.5}, 0, 1, 4)
-	if h.Counts[0] != 1 {
-		t.Errorf("-Inf should clamp to bin 0: %v", h.Counts)
-	}
-	if h.Counts[3] != 1 {
-		t.Errorf("+Inf should clamp to last bin: %v", h.Counts)
-	}
-	if h.Counts[2] != 1 {
-		t.Errorf("0.5 should land in bin 2: %v", h.Counts)
-	}
-	if total := h.Counts[0] + h.Counts[1] + h.Counts[2] + h.Counts[3]; total != 3 {
-		t.Errorf("NaN not dropped: %v", h.Counts)
-	}
-}
-
-func TestHistogramExactEdges(t *testing.T) {
-	// Edges at 0,1,2,3,4 with 4 bins: interior edge values go up, max
-	// stays in the top bin.
-	h := NewHistogram([]float64{0, 1, 2, 3, 4}, 0, 4, 4)
-	want := []int{1, 1, 1, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("edge binning = %v, want %v", h.Counts, want)
-		}
-	}
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -1,9 +1,8 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: summaries, histograms, and series utilities.
+// harness uses: summaries and series utilities.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -83,96 +82,6 @@ func Percentile(sorted []float64, q float64) float64 {
 	return v
 }
 
-// MaxInt returns the maximum of xs, or 0 for an empty slice.
-func MaxInt(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MeanInt returns the arithmetic mean of xs, or 0 for an empty slice.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive xs; it returns 0 if any
-// value is non-positive or the slice is empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	acc := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		acc += math.Log(x)
-	}
-	return math.Exp(acc / float64(len(xs)))
-}
-
-// Histogram counts xs into nBins equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of xs with nBins bins. Values outside
-// [min, max] (including ±Inf) are clamped to the first/last bin; NaN
-// values are dropped — the previous behavior funneled them through
-// int(NaN), whose result is platform-defined, so a stray NaN landed in an
-// arbitrary bin on some architectures and bin 0 on others.
-func NewHistogram(xs []float64, min, max float64, nBins int) Histogram {
-	if nBins <= 0 {
-		panic(fmt.Sprintf("stats: NewHistogram with nBins=%d", nBins))
-	}
-	h := Histogram{Min: min, Max: max, Counts: make([]int, nBins)}
-	degenerate := !(max > min) // equal, inverted, or NaN bounds
-	w := (max - min) / float64(nBins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if degenerate {
-			h.Counts[0]++
-			continue
-		}
-		// Clamp in float space before converting: int(f) for f outside
-		// the int range (±Inf, or a finite value magnitudes beyond the
-		// histogram span) is platform-defined in Go.
-		b := 0
-		if pos := (x - min) / w; pos >= float64(nBins) {
-			b = nBins - 1
-		} else if pos > 0 {
-			b = int(pos)
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
-// Mode returns the index of the fullest bin.
-func (h Histogram) Mode() int {
-	best, bestC := 0, -1
-	for i, c := range h.Counts {
-		if c > bestC {
-			best, bestC = i, c
-		}
-	}
-	return best
-}
-
 // Gini returns the Gini coefficient of a non-negative sample: 0 for a
 // perfectly even distribution, approaching 1 as the mass concentrates in
 // one element. Used to summarize per-bank load imbalance.
@@ -193,16 +102,4 @@ func Gini(xs []int) float64 {
 		return 0
 	}
 	return (2*weighted - float64(n+1)*cum) / (float64(n) * cum)
-}
-
-// Ratio returns a/b, or +Inf when b is zero and a positive, or 1 when both
-// are zero (used for predicted-vs-measured tables).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return a / b
 }

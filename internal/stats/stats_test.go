@@ -76,71 +76,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMaxMeanInt(t *testing.T) {
-	if MaxInt(nil) != 0 {
-		t.Error("MaxInt(nil)")
-	}
-	if MaxInt([]int{-5, -2, -9}) != -2 {
-		t.Error("MaxInt negatives")
-	}
-	if MeanInt([]int{2, 4}) != 3 {
-		t.Error("MeanInt")
-	}
-	if MeanInt(nil) != 0 {
-		t.Error("MeanInt(nil)")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GeoMean with zero")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil)")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 10, -5}, 0, 4, 4)
-	// -5 clamps to bin 0, 10 clamps to bin 3.
-	if h.Counts[0] != 2 { // 0 and -5
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[3] != 2 { // 3 and 10
-		t.Errorf("bin3 = %d", h.Counts[3])
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 6 {
-		t.Errorf("total = %d", total)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 3}, 5, 5, 3)
-	if h.Counts[0] != 3 {
-		t.Errorf("degenerate range: %v", h.Counts)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("nBins=0 should panic")
-		}
-	}()
-	NewHistogram(nil, 0, 1, 0)
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := Histogram{Counts: []int{1, 5, 2}}
-	if h.Mode() != 1 {
-		t.Errorf("Mode = %d", h.Mode())
-	}
-}
-
 func TestGini(t *testing.T) {
 	if g := Gini([]int{5, 5, 5, 5}); math.Abs(g) > 1e-12 {
 		t.Errorf("even Gini = %v", g)
@@ -157,17 +92,5 @@ func TestGini(t *testing.T) {
 	// Skewed beats uniform.
 	if Gini([]int{1, 2, 3, 10}) <= Gini([]int{4, 4, 4, 4}) {
 		t.Error("Gini ordering wrong")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Error("Ratio(6,3)")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Error("Ratio(1,0)")
-	}
-	if Ratio(0, 0) != 1 {
-		t.Error("Ratio(0,0)")
 	}
 }

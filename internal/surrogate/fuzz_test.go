@@ -124,25 +124,6 @@ func FuzzSurrogateBounds(f *testing.F) {
 			t.Fatalf("%+v: discontinuous in d: %v -> %v (jump %v)", s, tPred, resC.Cycles, jump)
 		}
 
-		// Moments path: monotone in n and in per-location contention.
-		st1, err := PredictStats(cfg, p.N, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := PredictStats(cfg, 2*p.N, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st2.Cycles < st1.Cycles*(1-1e-9) {
-			t.Fatalf("%+v: doubling n: %v -> %v", s, st1.Cycles, st2.Cycles)
-		}
-		hot, err := PredictStats(cfg, p.N, p.N/4+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hot.Cycles < st1.Cycles*(1-1e-9) {
-			t.Fatalf("%+v: raising contention: %v -> %v", s, st1.Cycles, hot.Cycles)
-		}
 	})
 }
 

@@ -126,34 +126,7 @@ func Predict(cfg sim.Config, pt core.Pattern) (sim.Result, error) {
 	}, nil
 }
 
-// PredictStats is the moments-only path: no pattern in hand, only its
-// summary statistics — n total requests and the maximum per-location
-// contention maxLoc. The max-bank-load term comes from the analytic
-// balls-in-bins model (MaxLoad) instead of an exact profile, which is
-// what makes grids too large to even *generate* patterns for
-// predictable. It assumes requests are spread evenly over processors
-// and locations are hashed uniformly over banks.
-func PredictStats(cfg sim.Config, n, maxLoc int) (sim.Result, error) {
-	if err := Eligible(cfg); err != nil {
-		return sim.Result{}, err
-	}
-	c := cfg.Normalize()
-	m := c.Machine
-	h := ceilDiv(n, m.Procs)
-	k := MaxLoad(n, m.Banks, maxLoc).Expected
-	kInt := int(math.Ceil(k))
-	cycles := predictCycles(c, n, h, kInt)
-	return sim.Result{
-		Cycles:        cycles,
-		Requests:      n,
-		BankServices:  n,
-		MaxBankServed: kInt,
-		BankBusy:      float64(n) * m.D,
-		Analytic:      true,
-	}, nil
-}
-
-// predictCycles is the closed form shared by both paths. Mirroring the
+// predictCycles is the closed form behind Predict. Mirroring the
 // event engine's timing: processors inject at 0, g, 2g, ...; a request
 // transits NetDelay each way and occupies its bank for the effective
 // service time; Cycles is the last response arrival (the simulator does
@@ -255,11 +228,4 @@ func md1Wait(g, x, d float64) float64 {
 		return math.Inf(1)
 	}
 	return rho * d / (2 * (1 - rho))
-}
-
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
 }

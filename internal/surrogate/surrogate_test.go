@@ -142,58 +142,6 @@ func TestPredictWindowLatencyBound(t *testing.T) {
 	}
 }
 
-// TestPredictStatsConsistent: the moments-only path with the true
-// (n, maxLoc) must land near the profile path for a smooth pattern —
-// its k comes from the balls-in-bins expectation instead of the exact
-// profile, so allow the analytic-vs-realized max-load gap.
-func TestPredictStatsConsistent(t *testing.T) {
-	s := SweepSpec{Procs: 8, X: 4, D: 6, G: 1, L: 16, Fam: FamUniform, N: 2048, Seed: 7}
-	cfg, pt := s.Build()
-	exact, err := Predict(cfg, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := PredictStats(cfg, pt.N(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Analytic {
-		t.Error("PredictStats result not tagged Analytic")
-	}
-	rel := math.Abs(stats.Cycles-exact.Cycles) / exact.Cycles
-	if rel > 0.30 {
-		t.Errorf("stats path %v vs profile path %v: rel gap %.3f", stats.Cycles, exact.Cycles, rel)
-	}
-}
-
-func TestMaxLoadProperties(t *testing.T) {
-	if got := MaxLoad(0, 8, 0); got != (MaxLoadStats{}) {
-		t.Errorf("zero requests: %+v", got)
-	}
-	st := MaxLoad(4096, 64, 1)
-	if st.Tail < st.Expected {
-		t.Errorf("tail %v < expected %v", st.Tail, st.Expected)
-	}
-	if st.Expected < 4096.0/64 {
-		t.Errorf("expected max %v below mean load", st.Expected)
-	}
-	// The hottest location floors both moments: no bank map splits
-	// co-located requests.
-	hot := MaxLoad(4096, 64, 300)
-	if hot.Expected < 300 || hot.Tail < 300 {
-		t.Errorf("maxLoc floor violated: %+v", hot)
-	}
-	// Tail bound is monotone in n at fixed banks.
-	prev := 0.0
-	for _, n := range []int{64, 256, 1024, 4096, 1 << 14} {
-		cur := MaxLoad(n, 64, 1).Tail
-		if cur < prev {
-			t.Errorf("tail not monotone: n=%d gives %v after %v", n, cur, prev)
-		}
-		prev = cur
-	}
-}
-
 func TestRegimeClassification(t *testing.T) {
 	cases := []struct {
 		cfg  sim.Config

@@ -68,9 +68,6 @@ func (t *Table) AddFootnote(text string) int {
 	return len(t.notes)
 }
 
-// NumFootnotes returns the number of footnotes added.
-func (t *Table) NumFootnotes() int { return len(t.notes) }
-
 func formatFloat(v float64) string {
 	av := v
 	if av < 0 {

@@ -123,8 +123,8 @@ func TestTableFootnotes(t *testing.T) {
 	if n1 != 1 || n2 != 2 {
 		t.Fatalf("refs = %d, %d", n1, n2)
 	}
-	if tb.NumFootnotes() != 2 {
-		t.Errorf("NumFootnotes = %d", tb.NumFootnotes())
+	if len(tb.notes) != 2 {
+		t.Errorf("footnotes = %d", len(tb.notes))
 	}
 
 	var b strings.Builder

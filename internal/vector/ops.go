@@ -20,7 +20,7 @@ func (vm *Machine) Broadcast(dst, src *Vec, at int64) {
 		addrs[i] = src.Base + uint64(at)
 		dst.Data[i] = src.Data[at]
 	}
-	vm.charge("gather", vm.strideCost(n, 1)+vm.irregularCost("broadcast", addrs))
+	vm.charge(vm.strideCost(n, 1) + vm.irregularCost("broadcast", addrs))
 }
 
 // ReplicatedBroadcast replicates src[at] into a p-entry scratch vector via
@@ -46,7 +46,7 @@ func (vm *Machine) ReplicatedBroadcast(dst, src *Vec, at int64, scratch *Vec) {
 			scratch.Data[made+i] = scratch.Data[i]
 			addrs[i] = scratch.Base + uint64(i)
 		}
-		vm.charge("gather", vm.strideCost(cnt, 1)+vm.irregularCost("broadcast-tree", addrs))
+		vm.charge(vm.strideCost(cnt, 1) + vm.irregularCost("broadcast-tree", addrs))
 		made += cnt
 	}
 	// Final fan-out: processor i reads replica i (round-robin assignment
@@ -57,51 +57,5 @@ func (vm *Machine) ReplicatedBroadcast(dst, src *Vec, at int64, scratch *Vec) {
 		addrs[i] = scratch.Base + uint64(i%p)
 		dst.Data[i] = scratch.Data[i%p]
 	}
-	vm.charge("gather", vm.strideCost(n, 1)+vm.irregularCost("broadcast", addrs))
-}
-
-// ScanMax writes the exclusive prefix maximum of src into dst; dst[0]
-// gets the identity (minimum int64).
-func (vm *Machine) ScanMax(dst, src *Vec) {
-	vm.checkLen("ScanMax", dst, src)
-	acc := int64(-1) << 62
-	for i, v := range src.Data {
-		dst.Data[i] = acc
-		if v > acc {
-			acc = v
-		}
-	}
-	vm.charge("scan", vm.strideCost(src.Len(), 4)+2*vm.mach.L)
-}
-
-// SegScanMax is the segmented exclusive prefix maximum; flags[i] != 0
-// starts a segment. This is the "copy-scan" workhorse: with src holding
-// values only at segment heads and -inf elsewhere, it propagates each
-// head's value through its segment.
-func (vm *Machine) SegScanMax(dst, src, flags *Vec) {
-	vm.checkLen("SegScanMax", dst, src)
-	vm.checkLen("SegScanMax", src, flags)
-	acc := int64(-1) << 62
-	for i, v := range src.Data {
-		if flags.Data[i] != 0 {
-			acc = int64(-1) << 62
-		}
-		dst.Data[i] = acc
-		if v > acc {
-			acc = v
-		}
-	}
-	vm.charge("segscan", vm.strideCost(src.Len(), 5)+2*vm.mach.L)
-}
-
-// ReduceMax returns the maximum of src, or the identity for empty input.
-func (vm *Machine) ReduceMax(src *Vec) int64 {
-	acc := int64(-1) << 62
-	for _, v := range src.Data {
-		if v > acc {
-			acc = v
-		}
-	}
-	vm.charge("reduce", vm.strideCost(src.Len(), 1)+2*vm.mach.L)
-	return acc
+	vm.charge(vm.strideCost(n, 1) + vm.irregularCost("broadcast", addrs))
 }

@@ -70,48 +70,6 @@ func TestReplicatedBroadcastPanics(t *testing.T) {
 	mustPanic(t, "bad index", func() { vm.ReplicatedBroadcast(dst, src, 9, scratch) })
 }
 
-func TestScanMax(t *testing.T) {
-	vm := newVM(t)
-	src := vm.AllocInit([]int64{3, 1, 4, 1, 5})
-	dst := vm.Alloc(5)
-	vm.ScanMax(dst, src)
-	ident := int64(-1) << 62
-	want := []int64{ident, 3, 3, 4, 4}
-	for i := range want {
-		if dst.Data[i] != want[i] {
-			t.Fatalf("ScanMax = %v, want %v", dst.Data, want)
-		}
-	}
-}
-
-func TestSegScanMaxCopyScan(t *testing.T) {
-	vm := newVM(t)
-	ident := int64(-1) << 62
-	// Two segments with values only at heads: copy-scan propagates them.
-	src := vm.AllocInit([]int64{10, ident, ident, 20, ident})
-	flags := vm.AllocInit([]int64{1, 0, 0, 1, 0})
-	dst := vm.Alloc(5)
-	vm.SegScanMax(dst, src, flags)
-	want := []int64{ident, 10, 10, ident, 20}
-	for i := range want {
-		if dst.Data[i] != want[i] {
-			t.Fatalf("SegScanMax = %v, want %v", dst.Data, want)
-		}
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	vm := newVM(t)
-	src := vm.AllocInit([]int64{-5, 12, 3})
-	if got := vm.ReduceMax(src); got != 12 {
-		t.Errorf("ReduceMax = %d", got)
-	}
-	empty := vm.Alloc(0)
-	if got := vm.ReduceMax(empty); got != int64(-1)<<62 {
-		t.Errorf("empty ReduceMax = %d", got)
-	}
-}
-
 func TestTraceObservesIrregularOps(t *testing.T) {
 	var ops []string
 	var totalCycles float64

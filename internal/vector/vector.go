@@ -57,7 +57,6 @@ type Machine struct {
 
 	cycles     float64
 	supersteps int
-	opCycles   map[string]float64
 	maxLoc     int // worst location contention seen in any superstep
 
 	trace   TraceFunc
@@ -85,10 +84,6 @@ type Option func(*Machine)
 // WithMode selects analytic or simulated charging.
 func WithMode(m Mode) Option { return func(vm *Machine) { vm.mode = m } }
 
-// WithBankMap installs a bank mapping (e.g. a hashfn.Map). Defaults to
-// hardware interleave over the machine's banks.
-func WithBankMap(bm core.BankMap) Option { return func(vm *Machine) { vm.bm = bm } }
-
 // WithTrace installs a callback observing every irregular superstep.
 func WithTrace(f TraceFunc) Option { return func(vm *Machine) { vm.trace = f } }
 
@@ -108,16 +103,9 @@ func New(m core.Machine, opts ...Option) *Machine {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
-	vm := &Machine{
-		mach:     m,
-		bm:       core.InterleaveMap{Banks: m.Banks},
-		opCycles: make(map[string]float64),
-	}
+	vm := &Machine{mach: m, bm: core.InterleaveMap{Banks: m.Banks}}
 	for _, o := range opts {
 		o(vm)
-	}
-	if vm.bm.NumBanks() != m.Banks {
-		panic(fmt.Sprintf("vector: bank map covers %d banks, machine has %d", vm.bm.NumBanks(), m.Banks))
 	}
 	return vm
 }
@@ -135,21 +123,11 @@ func (vm *Machine) Supersteps() int { return vm.supersteps }
 // any irregular superstep since the last Reset.
 func (vm *Machine) MaxLocContention() int { return vm.maxLoc }
 
-// OpCycles returns a copy of the per-operation cycle breakdown.
-func (vm *Machine) OpCycles() map[string]float64 {
-	out := make(map[string]float64, len(vm.opCycles))
-	for k, v := range vm.opCycles {
-		out[k] = v
-	}
-	return out
-}
-
 // Reset clears the cycle ledger (allocations are kept).
 func (vm *Machine) Reset() {
 	vm.cycles = 0
 	vm.supersteps = 0
 	vm.maxLoc = 0
-	vm.opCycles = make(map[string]float64)
 }
 
 // Alloc allocates a zeroed vector of n elements at a fresh base address.
@@ -166,10 +144,9 @@ func (vm *Machine) AllocInit(data []int64) *Vec {
 	return v
 }
 
-// charge records cycles against an operation name.
-func (vm *Machine) charge(op string, cycles float64) {
+// charge records the cycles of one superstep.
+func (vm *Machine) charge(cycles float64) {
 	vm.cycles += cycles
-	vm.opCycles[op] += cycles
 	vm.supersteps++
 }
 
@@ -226,7 +203,7 @@ func (vm *Machine) ChargeElementwise(n int, ops float64) {
 	if comp := ops * float64(n) / float64(vm.mach.Procs); comp > c {
 		c = comp
 	}
-	vm.charge("map", c+vm.mach.L)
+	vm.charge(c + vm.mach.L)
 }
 
 // Fill sets every element of v to val. Cost: one output stream.
@@ -234,7 +211,7 @@ func (vm *Machine) Fill(v *Vec, val int64) {
 	for i := range v.Data {
 		v.Data[i] = val
 	}
-	vm.charge("fill", vm.strideCost(v.Len(), 1)+vm.mach.L)
+	vm.charge(vm.strideCost(v.Len(), 1) + vm.mach.L)
 }
 
 // Iota fills v with 0, 1, 2, ...
@@ -242,7 +219,7 @@ func (vm *Machine) Iota(v *Vec) {
 	for i := range v.Data {
 		v.Data[i] = int64(i)
 	}
-	vm.charge("iota", vm.strideCost(v.Len(), 1)+vm.mach.L)
+	vm.charge(vm.strideCost(v.Len(), 1) + vm.mach.L)
 }
 
 // Map1 computes dst[i] = f(a[i]). ops is the compute operation count per
@@ -258,7 +235,7 @@ func (vm *Machine) Map1(dst, a *Vec, f func(int64) int64, ops float64) {
 	if comp := ops * n; comp > c {
 		c = comp
 	}
-	vm.charge("map", c+vm.mach.L)
+	vm.charge(c + vm.mach.L)
 }
 
 // Map2 computes dst[i] = f(a[i], b[i]).
@@ -273,7 +250,7 @@ func (vm *Machine) Map2(dst, a, b *Vec, f func(int64, int64) int64, ops float64)
 	if comp := ops * n; comp > c {
 		c = comp
 	}
-	vm.charge("map", c+vm.mach.L)
+	vm.charge(c + vm.mach.L)
 }
 
 // Gather computes dst[i] = src[idx[i]]. The irregular read stream is
@@ -287,7 +264,7 @@ func (vm *Machine) Gather(dst, src, idx *Vec) {
 		addrs[i] = src.Base + uint64(ix)
 		dst.Data[i] = src.Data[ix]
 	}
-	vm.charge("gather", vm.strideCost(idx.Len(), 2)+vm.irregularCost("gather", addrs))
+	vm.charge(vm.strideCost(idx.Len(), 2) + vm.irregularCost("gather", addrs))
 }
 
 // Scatter computes dst[idx[i]] = src[i]. On duplicate indices the highest
@@ -301,7 +278,7 @@ func (vm *Machine) Scatter(dst, src, idx *Vec) {
 		addrs[i] = dst.Base + uint64(ix)
 		dst.Data[ix] = src.Data[i]
 	}
-	vm.charge("scatter", vm.strideCost(idx.Len(), 2)+vm.irregularCost("scatter", addrs))
+	vm.charge(vm.strideCost(idx.Len(), 2) + vm.irregularCost("scatter", addrs))
 }
 
 // ScatterConst scatters the constant val to dst at idx.
@@ -312,7 +289,7 @@ func (vm *Machine) ScatterConst(dst *Vec, val int64, idx *Vec) {
 		addrs[i] = dst.Base + uint64(ix)
 		dst.Data[ix] = val
 	}
-	vm.charge("scatter", vm.strideCost(idx.Len(), 1)+vm.irregularCost("scatter-const", addrs))
+	vm.charge(vm.strideCost(idx.Len(), 1) + vm.irregularCost("scatter-const", addrs))
 }
 
 // ScatterAdd atomically (in vector-order) adds src[i] into dst[idx[i]].
@@ -328,7 +305,7 @@ func (vm *Machine) ScatterAdd(dst, src, idx *Vec) {
 		addrs[i] = dst.Base + uint64(ix)
 		dst.Data[ix] += src.Data[i]
 	}
-	vm.charge("scatter", vm.strideCost(idx.Len(), 2)+vm.irregularCost("scatter-add", addrs))
+	vm.charge(vm.strideCost(idx.Len(), 2) + vm.irregularCost("scatter-add", addrs))
 }
 
 // ScanAdd writes the exclusive prefix sum of src into dst (dst[0] = 0).
@@ -340,7 +317,7 @@ func (vm *Machine) ScanAdd(dst, src *Vec) {
 		dst.Data[i] = acc
 		acc += v
 	}
-	vm.charge("scan", vm.strideCost(src.Len(), 4)+2*vm.mach.L)
+	vm.charge(vm.strideCost(src.Len(), 4) + 2*vm.mach.L)
 }
 
 // SegScanAdd writes the exclusive segmented prefix sum of src into dst;
@@ -357,17 +334,7 @@ func (vm *Machine) SegScanAdd(dst, src, flags *Vec) {
 		dst.Data[i] = acc
 		acc += v
 	}
-	vm.charge("segscan", vm.strideCost(src.Len(), 5)+2*vm.mach.L)
-}
-
-// Reduce returns the sum of src. Charged as one pass.
-func (vm *Machine) Reduce(src *Vec) int64 {
-	acc := int64(0)
-	for _, v := range src.Data {
-		acc += v
-	}
-	vm.charge("reduce", vm.strideCost(src.Len(), 1)+2*vm.mach.L)
-	return acc
+	vm.charge(vm.strideCost(src.Len(), 5) + 2*vm.mach.L)
 }
 
 // Pack writes the elements of src whose mask is non-zero into the prefix
@@ -385,7 +352,7 @@ func (vm *Machine) Pack(dst, src, mask *Vec) int {
 			k++
 		}
 	}
-	vm.charge("pack", vm.strideCost(src.Len(), 4)+2*vm.mach.L)
+	vm.charge(vm.strideCost(src.Len(), 4) + 2*vm.mach.L)
 	return k
 }
 

@@ -28,12 +28,16 @@ func TestFillIotaReduce(t *testing.T) {
 	vm := newVM(t)
 	v := vm.Alloc(10)
 	vm.Fill(v, 7)
-	if got := vm.Reduce(v); got != 70 {
-		t.Errorf("Reduce = %d, want 70", got)
+	for i, x := range v.Data {
+		if x != 7 {
+			t.Fatalf("Fill: v[%d] = %d, want 7", i, x)
+		}
 	}
 	vm.Iota(v)
-	if got := vm.Reduce(v); got != 45 {
-		t.Errorf("Reduce(iota) = %d, want 45", got)
+	for i, x := range v.Data {
+		if x != int64(i) {
+			t.Fatalf("Iota: v[%d] = %d", i, x)
+		}
 	}
 	if vm.Cycles() <= 0 {
 		t.Error("no cycles charged")
@@ -201,7 +205,7 @@ func TestAnalyticVsSimulateAgree(t *testing.T) {
 	}
 }
 
-func TestOpCyclesBreakdown(t *testing.T) {
+func TestSuperstepsAndReset(t *testing.T) {
 	vm := newVM(t)
 	v := vm.Alloc(100)
 	vm.Fill(v, 1)
@@ -209,15 +213,11 @@ func TestOpCyclesBreakdown(t *testing.T) {
 	vm.Iota(idx)
 	dst := vm.Alloc(100)
 	vm.Gather(dst, v, idx)
-	oc := vm.OpCycles()
-	if oc["fill"] <= 0 || oc["iota"] <= 0 || oc["gather"] <= 0 {
-		t.Errorf("missing op breakdown: %v", oc)
-	}
 	if vm.Supersteps() != 3 {
 		t.Errorf("Supersteps = %d, want 3", vm.Supersteps())
 	}
 	vm.Reset()
-	if vm.Cycles() != 0 || vm.Supersteps() != 0 || len(vm.OpCycles()) != 0 {
+	if vm.Cycles() != 0 || vm.Supersteps() != 0 || vm.MaxLocContention() != 0 {
 		t.Error("Reset incomplete")
 	}
 }
@@ -251,9 +251,6 @@ func mustPanic(t *testing.T, name string, f func()) {
 
 func TestNewPanicsOnInvalid(t *testing.T) {
 	mustPanic(t, "invalid machine", func() { New(core.Machine{}) })
-	mustPanic(t, "mismatched map", func() {
-		New(core.J90(), WithBankMap(core.InterleaveMap{Banks: 3}))
-	})
 }
 
 // A warm Analytic superstep allocates nothing: the machine reuses its
