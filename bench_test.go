@@ -663,6 +663,14 @@ func benchExpansionGrid(b *testing.B, window int) {
 
 // --- Surrogate-routed huge grid -------------------------------------------
 
+// simFunc adapts a function to experiments.SimRunner, so a test can watch
+// every simulation an experiment issues.
+type simFunc func(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error)
+
+func (f simFunc) RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
+	return f(ctx, cfg, pt)
+}
+
 // BenchmarkSurrogateGrid is the headline number for the analytic
 // surrogate: the F14 huge grid (p to 4096, x to 64, n = 64p) run end to
 // end through the runner with auto routing — exactly the path
@@ -684,7 +692,7 @@ func BenchmarkSurrogateGrid(b *testing.B) {
 	runPoint := e.RunPoint
 	e.RunPoint = func(ctx context.Context, cfg experiments.Config, p experiments.Point) (experiments.PointResult, error) {
 		next := cfg
-		cfg.Sim = experiments.SimRunnerFunc(func(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {
+		cfg.Sim = simFunc(func(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {
 			requests.Add(int64(pt.N()))
 			return next.RunSim(ctx, sc, pt)
 		})

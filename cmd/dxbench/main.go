@@ -21,9 +21,7 @@
 //	dxbench -checkpoint DIR  # journal results for crash-safe resume
 //	dxbench -checkpoint DIR -resume  # resume from a prior journal
 //	dxbench -checkpoint DIR -shard 1/4   # static shard: every 4th point
-//	dxbench -merge DIR               # merge shard/worker journals
-//	dxbench -checkpoint DIR -coordinate  # supervise a distributed sweep
-//	dxbench -checkpoint DIR -worker -worker-id a  # claim and run ranges
+//	dxbench -merge DIR               # merge shard journals
 //	dxbench -surrogate auto  # route large eligible points to the closed form
 //	dxbench -surrogate auto -experiment F14  # huge grid, interactive
 //	dxbench -metrics         # append bank heatmap + metric series report
@@ -111,13 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checkpoint = fs.String("checkpoint", "", "journal completed simulations to this directory")
 		resume     = fs.Bool("resume", false, "reuse results from an existing -checkpoint journal")
 
-		shardSpec  = fs.String("shard", "", "run one static shard i/n of every experiment's points, journaling to a per-shard file (requires -checkpoint)")
-		mergeDir   = fs.String("merge", "", "merge the shard and worker journals in this directory into journal.jsonl, then exit")
-		coordinate = fs.Bool("coordinate", false, "coordinate a distributed sweep over the -checkpoint directory, then render the merged output")
-		workerMode = fs.Bool("worker", false, "join a distributed sweep over the -checkpoint directory as a worker")
-		workerID   = fs.String("worker-id", "", "worker name for leases and journal files (default: derived from the process id)")
-		leaseTTL   = fs.Duration("lease-ttl", 10*time.Second, "lease time-to-live for distributed sweep ranges")
-		chunk      = fs.Int("chunk", 0, "points per manifest range for -coordinate (default 4)")
+		shardSpec = fs.String("shard", "", "run one static shard i/n of every experiment's points, journaling to a per-shard file (requires -checkpoint)")
+		mergeDir  = fs.String("merge", "", "merge the shard journals in this directory into journal.jsonl, then exit")
 
 		showMetrics = fs.Bool("metrics", false, "append an observability report: bank heatmap, metric series, cycle summary")
 		metricsOut  = fs.String("metrics-out", "", "export metric series to this file (.json: JSON, otherwise OpenMetrics text)")
@@ -138,16 +131,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{"n", *n < 0}, {"parallel", *parallel < 0}, {"retries", *retries < 0},
 		{"batch", *batchK < 0}, {"surrogate-threshold", *surrThreshold < 0},
-		{"chunk", *chunk < 0}, {"timeout", *timeout < 0}, {"point-timeout", *pointLimit < 0},
+		{"timeout", *timeout < 0}, {"point-timeout", *pointLimit < 0},
 	} {
 		if f.negative {
 			fmt.Fprintf(stderr, "dxbench: -%s must not be negative, got %s\n", f.name, fs.Lookup(f.name).Value)
 			return exitHard
 		}
-	}
-	if *leaseTTL <= 0 {
-		fmt.Fprintf(stderr, "dxbench: -lease-ttl must be positive, got %v\n", *leaseTTL)
-		return exitHard
 	}
 	if *format != "text" && *format != "csv" && *format != "plot" {
 		fmt.Fprintf(stderr, "dxbench: unknown format %q\n", *format)
@@ -161,14 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dxbench: -checkpoint requires the cache; drop -nocache")
 		return exitHard
 	}
-	sweepModes := 0
-	for _, on := range []bool{*shardSpec != "", *mergeDir != "", *coordinate, *workerMode} {
-		if on {
-			sweepModes++
-		}
-	}
-	if sweepModes > 1 {
-		fmt.Fprintln(stderr, "dxbench: -shard, -merge, -coordinate and -worker are mutually exclusive")
+	if *shardSpec != "" && *mergeDir != "" {
+		fmt.Fprintln(stderr, "dxbench: -shard and -merge are mutually exclusive")
 		return exitHard
 	}
 	var shard sweep.Shard
@@ -179,15 +162,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitHard
 		}
 	}
-	if (*shardSpec != "" || *coordinate || *workerMode) && *checkpoint == "" {
-		fmt.Fprintln(stderr, "dxbench: -shard, -coordinate and -worker require -checkpoint")
+	if *shardSpec != "" && *checkpoint == "" {
+		fmt.Fprintln(stderr, "dxbench: -shard requires -checkpoint")
 		return exitHard
 	}
-	if (*coordinate || *workerMode) && *resume {
-		fmt.Fprintln(stderr, "dxbench: -resume does not apply to -coordinate or -worker; workers resume their own journals automatically")
-		return exitHard
-	}
-	if sweepModes > 0 && (*showMetrics || *metricsOut != "") {
+	if (*shardSpec != "" || *mergeDir != "") && (*showMetrics || *metricsOut != "") {
 		fmt.Fprintln(stderr, "dxbench: -metrics is not available in sweep modes; render metrics afterwards with -checkpoint DIR -resume -metrics")
 		return exitHard
 	}
@@ -359,21 +338,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runMergeMode(*mergeDir, stdout, stderr)
 	}
 	env := &sweepEnv{cfg: cfg, todo: todo, r: r, injector: injector,
-		dir: *checkpoint, resume: *resume, leaseTTL: *leaseTTL, chunk: *chunk,
-		workerID: *workerID, format: *format, logx: *logx, logy: *logy,
+		dir: *checkpoint, resume: *resume, format: *format, logx: *logx, logy: *logy,
 		timing: *timing, timeout: *timeout, stdout: stdout, stderr: stderr}
-	if *shardSpec != "" || *coordinate || *workerMode {
-		if env.workerID == "" {
-			env.workerID = fmt.Sprintf("w%d", os.Getpid())
-		}
-		switch {
-		case *shardSpec != "":
-			return runShardMode(ctx, env, shard)
-		case *coordinate:
-			return runCoordinatorMode(ctx, env)
-		default:
-			return runWorkerMode(ctx, env)
-		}
+	if *shardSpec != "" {
+		return runShardMode(ctx, env, shard)
 	}
 
 	if *checkpoint != "" {

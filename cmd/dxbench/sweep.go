@@ -2,23 +2,20 @@ package main
 
 // Distributed sweep modes of dxbench, built on internal/sweep:
 //
-//	dxbench -shard 1/4 -checkpoint dir ...   # static: run every 4th point
-//	dxbench -merge dir                       # merge shard/worker journals
-//	dxbench -coordinate -checkpoint dir ...  # publish manifest, supervise,
-//	                                         # merge, render final output
-//	dxbench -worker -checkpoint dir ...      # claim ranges, journal sims
+//	dxbench -shard 1/4 -checkpoint dir ...          # run every 4th point
+//	dxbench -shard 1/4 -checkpoint dir -resume ...  # finish a killed shard
+//	dxbench -merge dir                              # merge shard journals
+//	dxbench -checkpoint dir -resume ...             # render the full output
 //
-// Shard and worker runs produce journals, not tables: their stdout stays
-// empty and a summary goes to stderr. The coordinator renders the final
-// byte-identical output after merging, by replaying the merged journal
-// through the ordinary experiment path with zero re-executed simulations.
+// Shard runs produce journals, not tables: their stdout stays empty and a
+// summary goes to stderr. The final -resume run renders output
+// byte-identical to a single-process run by replaying the merged journal
+// through the ordinary experiment path, re-executing no simulation.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"dxbsp/internal/experiments"
@@ -36,9 +33,6 @@ type sweepEnv struct {
 	injector *faults.Injector
 	dir      string
 	resume   bool
-	leaseTTL time.Duration
-	chunk    int
-	workerID string
 	format   string
 	logx     bool
 	logy     bool
@@ -48,18 +42,8 @@ type sweepEnv struct {
 	stderr   io.Writer
 }
 
-// attachJournal installs j as the run's checkpoint store and wires the
-// chaos hooks (record corruption / torn writes, kill-after-N-appends).
-func (env *sweepEnv) attachJournal(j *runner.Journal) {
-	env.r.Cache.Journal = j
-	if env.injector != nil {
-		j.Corrupt = env.injector.CorruptRecord
-		j.OnAppend = env.injector.KillOnAppend
-	}
-}
-
-// runMergeMode merges every shard and worker journal in dir into the
-// canonical journal.jsonl.
+// runMergeMode merges every shard journal in dir into the canonical
+// journal.jsonl.
 func runMergeMode(dir string, stdout, stderr io.Writer) int {
 	st, err := sweep.Merge(dir, stderr)
 	if err != nil {
@@ -89,7 +73,13 @@ func runShardMode(ctx context.Context, env *sweepEnv, sh sweep.Shard) int {
 		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
 		return exitHard
 	}
-	env.attachJournal(journal)
+	// Install the journal as the run's checkpoint store and wire the chaos
+	// hooks (record corruption / torn writes, kill-after-N-appends).
+	env.r.Cache.Journal = journal
+	if env.injector != nil {
+		journal.Corrupt = env.injector.CorruptRecord
+		journal.OnAppend = env.injector.KillOnAppend
+	}
 
 	points, failed := 0, 0
 	for _, e := range env.todo {
@@ -116,147 +106,6 @@ func runShardMode(ctx context.Context, env *sweepEnv, sh sweep.Shard) int {
 		sh, points, js.Appended, js.Restored, js.Skipped)
 	if failed > 0 {
 		fmt.Fprintf(env.stderr, "dxbench: shard completed degraded: %d point(s) failed\n", failed)
-		return exitDegraded
-	}
-	return exitOK
-}
-
-// waitManifest polls dir until the coordinator's manifest appears.
-func waitManifest(ctx context.Context, dir string) (sweep.Manifest, error) {
-	for {
-		m, err := sweep.LoadManifest(dir)
-		if err == nil {
-			return m, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return sweep.Manifest{}, err
-		}
-		select {
-		case <-time.After(200 * time.Millisecond):
-		case <-ctx.Done():
-			return sweep.Manifest{}, fmt.Errorf("waiting for manifest in %s: %w", dir, ctx.Err())
-		}
-	}
-}
-
-// runWorkerMode joins the sweep coordinated over env.dir: wait for the
-// manifest, verify this process is configured identically, then claim and
-// execute ranges until the sweep completes.
-func runWorkerMode(ctx context.Context, env *sweepEnv) int {
-	man, err := waitManifest(ctx, env.dir)
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	if err := man.VerifyConfig(env.cfg, env.todo); err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	// Resume this worker's own journal: a restarted worker (same id)
-	// skips every simulation it already journaled.
-	journal, err := runner.OpenJournalFile(env.dir, runner.WorkerJournalName(env.workerID), true, env.stderr)
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	defer journal.Close()
-	if err := journal.WriteHeader(runner.JournalHeader{Worker: env.workerID, Config: man.Config}); err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	env.attachJournal(journal)
-
-	byID := make(map[string]experiments.Experiment, len(env.todo))
-	for _, e := range env.todo {
-		byID[e.ID] = e
-	}
-	failed := 0
-	stall := env.injector != nil && env.injector.Spec().StallHeartbeat
-	w := &sweep.Worker{
-		Dir:            &sweep.Dir{Path: env.dir, TTL: env.leaseTTL},
-		Manifest:       man,
-		ID:             env.workerID,
-		Events:         env.r.Events,
-		StallHeartbeat: stall,
-		Exec: func(ctx context.Context, rg sweep.Range) error {
-			e, ok := byID[rg.Experiment]
-			if !ok {
-				return fmt.Errorf("manifest names experiment %q this worker does not have", rg.Experiment)
-			}
-			res, err := env.r.RunExperiment(ctx, sweep.ApplyRange(e, rg.Start, rg.End), env.cfg)
-			if err != nil {
-				return err
-			}
-			// Degraded points stay the worker's problem to report; the
-			// range is still done — a deterministic permanent failure would
-			// kill every worker that reclaims it, wedging the sweep.
-			failed += res.Stats.Failed
-			return journal.Sync()
-		},
-	}
-	ranges, err := w.Run(ctx)
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: worker %s: %v\n", env.workerID, err)
-		return exitHard
-	}
-	js := journal.Stats()
-	fmt.Fprintf(env.stderr, "worker %s: %d range(s) completed, %d sim(s) journaled, %d restored\n",
-		env.workerID, ranges, js.Appended, js.Restored)
-	if failed > 0 {
-		fmt.Fprintf(env.stderr, "dxbench: worker completed degraded: %d point(s) failed\n", failed)
-		return exitDegraded
-	}
-	return exitOK
-}
-
-// runCoordinatorMode publishes the manifest, supervises workers (reclaims
-// expired leases) until every range is done, merges the journals, and
-// renders the full suite from the merged journal — output byte-identical
-// to a single-process run, with zero re-executed simulations.
-func runCoordinatorMode(ctx context.Context, env *sweepEnv) int {
-	man, err := sweep.WriteManifest(env.dir, sweep.BuildManifest(env.cfg, env.todo, env.chunk))
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	coord := &sweep.Coordinator{
-		Dir:      &sweep.Dir{Path: env.dir, TTL: env.leaseTTL},
-		Manifest: man,
-		Events:   env.r.Events,
-		Progress: env.stderr,
-	}
-	st, err := coord.Run(ctx)
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: coordinator: %v\n", err)
-		return exitHard
-	}
-	ms, err := sweep.Merge(env.dir, env.stderr)
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	env.r.Events.Emit(runner.Event{Type: "merge_done", Points: ms.Records, Reclaimed: st.Reclaimed,
-		CheckpointSkipped: ms.Skipped})
-	fmt.Fprintf(env.stderr, "sweep: merged %d record(s) from %d journal(s) (%d duplicate(s), %d skipped), %d lease(s) reclaimed\n",
-		ms.Records, ms.Files, ms.Duplicates, ms.Skipped, st.Reclaimed)
-
-	// Final render: replay the merged journal through the ordinary path.
-	journal, err := runner.OpenJournal(env.dir, true, env.stderr)
-	if err != nil {
-		fmt.Fprintf(env.stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-	defer journal.Close()
-	env.attachJournal(journal)
-	results, ok := env.runSuite(ctx)
-	if !ok {
-		return exitHard
-	}
-	if env.timing {
-		printSummary(env.stderr, env.r, results)
-	}
-	if failed := totalFailed(results); failed > 0 {
-		fmt.Fprintf(env.stderr, "dxbench: completed degraded: %d point(s) failed (see footnotes)\n", failed)
 		return exitDegraded
 	}
 	return exitOK

@@ -8,12 +8,11 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // TestMain doubles as the sweep helper process: re-exec'ing the test
 // binary with DXBENCH_HELPER=1 turns it into dxbench, which lets the
-// kill -9 tests SIGKILL a real worker process (a chaos kill=N worker
+// kill -9 test SIGKILL a real shard process (a chaos kill=N shard
 // SIGKILLs itself; an in-process run() would take the test down with it).
 func TestMain(m *testing.M) {
 	if os.Getenv("DXBENCH_HELPER") == "1" {
@@ -40,17 +39,38 @@ func TestSweepUsageErrors(t *testing.T) {
 		{"-quick", "-checkpoint", dir, "-shard", "-1/4"},
 		{"-quick", "-checkpoint", dir, "-shard", "nonsense"},
 		{"-quick", "-shard", "0/4"},                                    // requires -checkpoint
-		{"-quick", "-coordinate"},                                      // requires -checkpoint
-		{"-quick", "-worker"},                                          // requires -checkpoint
 		{"-quick", "-checkpoint", dir, "-shard", "0/4", "-merge", dir}, // exclusive
-		{"-quick", "-checkpoint", dir, "-coordinate", "-worker"},       // exclusive
-		{"-quick", "-checkpoint", dir, "-coordinate", "-resume"},       // resume is automatic
 		{"-quick", "-checkpoint", dir, "-shard", "0/4", "-metrics"},    // metrics need full run
 		{"-merge", filepath.Join(dir, "empty")},                        // nothing to merge
 	}
 	for _, args := range cases {
 		if _, errOut, code := runBench(t, args...); code != exitHard {
 			t.Errorf("%v: exit %d, want %d\nstderr: %s", args, code, exitHard, errOut)
+		}
+	}
+	// Flags and chaos keys dxbench does not define are usage errors that
+	// name them, with nothing rendered.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-coordinate"}, "-coordinate"},
+		{[]string{"-worker"}, "-worker"},
+		{[]string{"-worker-id", "a"}, "-worker-id"},
+		{[]string{"-lease-ttl", "1s"}, "-lease-ttl"},
+		{[]string{"-chunk", "4"}, "-chunk"},
+		{[]string{"-chaos", "stallhb=1"}, `faults: unknown key "stallhb"`},
+	} {
+		args := append([]string{"-quick", "-experiment", "T1", "-checkpoint", dir}, tc.args...)
+		out, errOut, code := runBench(t, args...)
+		if code != exitHard {
+			t.Errorf("%v: exit %d, want %d\nstderr: %s", tc.args, code, exitHard, errOut)
+		}
+		if !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: stderr does not name %s:\n%s", tc.args, tc.want, errOut)
+		}
+		if out != "" {
+			t.Errorf("%v: rendered output despite the error", tc.args)
 		}
 	}
 }
@@ -154,125 +174,63 @@ func TestShardMergeResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// The tentpole's acceptance proof, phase 2: a dynamic sweep whose worker
-// fleet includes one that a chaos fault SIGKILLs mid-run. The coordinator
-// must reclaim the dead worker's lease, the surviving worker must finish
-// its ranges, and the rendered output must be byte-identical to the
-// single-process run with zero re-executed journaled sims.
-func TestDynamicSweepSurvivesKilledWorker(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process sweep")
-	}
+// Crash tolerance of a static-shard sweep, on real processes: shard 3 of
+// 4 SIGKILLs itself (chaos kill=2) after two journal appends, is resumed
+// from its own journal with -resume, and the merged render must equal the
+// single-process output byte for byte with no journaled sim re-executed.
+func TestShardSurvivesKilledShard(t *testing.T) {
 	single, _, code := runBench(t, "-quick", "-experiment", "F6")
 	if code != exitOK {
 		t.Fatalf("single-process exit %d", code)
 	}
-
 	dir := t.TempDir()
-	ev := filepath.Join(t.TempDir(), "ev.json")
-	coord := helperCmd(t, "-quick", "-experiment", "F6", "-checkpoint", dir,
-		"-coordinate", "-lease-ttl", "500ms", "-events", ev)
-	var coordOut, coordErr strings.Builder
-	coord.Stdout, coord.Stderr = &coordOut, &coordErr
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
+	shard := func(i int, extra ...string) []string {
+		return append([]string{"-quick", "-experiment", "F6", "-checkpoint", dir, "-shard", fmt.Sprintf("%d/4", i)}, extra...)
 	}
-	coordDone := make(chan error, 1)
-	go func() { coordDone <- coord.Wait() }()
-	defer coord.Process.Kill()
+	for i := 0; i < 3; i++ {
+		if _, errOut, code := runBench(t, shard(i)...); code != exitOK {
+			t.Fatalf("shard %d exit %d: %s", i, code, errOut)
+		}
+	}
 
-	// The victim claims the first range and SIGKILLs itself on its first
-	// journal append, leaving an un-renewed lease and a 1-record journal.
-	victim := helperCmd(t, "-quick", "-experiment", "F6", "-checkpoint", dir,
-		"-worker", "-worker-id", "victim", "-lease-ttl", "500ms", "-chaos", "kill=1")
+	victim := helperCmd(t, shard(3, "-chaos", "kill=2")...)
 	var victimErr strings.Builder
 	victim.Stderr = &victimErr
-	if err := victim.Start(); err != nil {
-		t.Fatal(err)
-	}
-	err := victim.Wait()
+	err := victim.Run()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
-		t.Fatalf("victim was not killed: err=%v stderr=%s", err, victimErr.String())
+		t.Fatalf("shard 3 was not killed: err=%v stderr=%s", err, victimErr.String())
 	}
 	if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		t.Fatalf("victim died of %v, want SIGKILL", ee)
+		t.Fatalf("shard 3 died of %v, want SIGKILL", ee)
 	}
 
-	// A steady worker (run in-process; it is not killed) completes the
-	// sweep: everything except the victim's leased range immediately, that
-	// range once the coordinator reclaims the lease.
-	_, steadyStderr, code := runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir,
-		"-worker", "-worker-id", "steady", "-lease-ttl", "500ms")
+	// The resumed shard serves the victim's two journaled sims from its
+	// journal and runs only the rest.
+	_, errOut, code := runBench(t, shard(3, "-resume")...)
 	if code != exitOK {
-		t.Fatalf("steady worker exit %d:\n%s", code, steadyStderr)
+		t.Fatalf("resumed shard exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(errOut, " 2 restored") {
+		t.Errorf("resumed shard did not restore the killed run's records:\n%s", errOut)
+	}
+	if _, errOut, code := runBench(t, "-merge", dir); code != exitOK {
+		t.Fatalf("merge exit %d: %s", code, errOut)
 	}
 
-	select {
-	case err := <-coordDone:
-		if err != nil {
-			t.Fatalf("coordinator: %v\nstderr: %s", err, coordErr.String())
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatalf("coordinator did not finish\nstderr so far: %s", coordErr.String())
+	ev := filepath.Join(t.TempDir(), "ev.json")
+	merged, errOut, code := runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir, "-resume", "-events", ev)
+	if code != exitOK {
+		t.Fatalf("render exit %d: %s", code, errOut)
 	}
-
-	if got := coordOut.String(); got != single {
-		t.Errorf("coordinator output differs from single-process:\n--- single ---\n%s\n--- sweep ---\n%s", single, got)
-	}
-	if !strings.Contains(coordErr.String(), "reclaimed expired lease") {
-		t.Errorf("no lease reclaim reported:\nsteady: %s\ncoordinator: %s", steadyStderr, coordErr.String())
-	}
-	if !strings.Contains(lastEvent(t, ev, "lease_reclaimed"), `"range"`) {
-		t.Error("lease_reclaimed event missing range")
+	if merged != single {
+		t.Errorf("render after kill and resume differs from single-process:\n--- single ---\n%s\n--- merged ---\n%s", single, merged)
 	}
 	runDone := lastEvent(t, ev, "run_done")
 	if strings.Contains(runDone, `"cache_misses"`) {
-		t.Errorf("final render re-executed journaled sims: %s", runDone)
+		t.Errorf("render re-executed journaled sims: %s", runDone)
 	}
 	if !strings.Contains(runDone, `"checkpoint_restored"`) {
-		t.Errorf("final render restored nothing: %s", runDone)
+		t.Errorf("render restored nothing: %s", runDone)
 	}
-}
-
-// A worker with a mismatched configuration must refuse the manifest.
-func TestWorkerConfigMismatch(t *testing.T) {
-	dir := t.TempDir()
-	// Publish a manifest by letting a coordinator run against an already-
-	// complete sweep: shard 0/1 journals everything, merge, coordinate.
-	if _, errOut, code := runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir, "-shard", "0/1"); code != exitOK {
-		t.Fatalf("seed run exit %d: %s", code, errOut)
-	}
-	if _, _, code := runBench(t, "-merge", dir); code != exitOK {
-		t.Fatalf("merge exit %d", code)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// The sweep has no done markers yet, so this coordinator publishes
-		// the manifest and waits; the matching worker below finishes it
-		// instantly from the merged journal.
-		runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir, "-coordinate", "-lease-ttl", "1s", "-timeout", "60s")
-	}()
-	// Wait for the manifest, then present a worker with different flags.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("manifest never appeared")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	_, errOut, code := runBench(t, "-quick", "-experiment", "F7", "-checkpoint", dir, "-worker", "-worker-id", "wrong")
-	if code != exitHard || !strings.Contains(errOut, "does not match the manifest") {
-		t.Errorf("mismatched worker: exit %d\nstderr: %s", code, errOut)
-	}
-	// A correctly configured worker drains the sweep (every sim restores
-	// from its journal once ranges are claimed) and the coordinator exits.
-	if _, errOut, code := runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir, "-worker", "-worker-id", "right"); code != exitOK {
-		t.Fatalf("matching worker exit %d: %s", code, errOut)
-	}
-	<-done
 }

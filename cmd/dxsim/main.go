@@ -177,7 +177,8 @@ func main() {
 }
 
 // inspectJournal summarizes a checkpoint journal: who produced it (shard,
-// worker, or a plain single-process run), which sweep configuration it
+// a worker of the retired dynamic sweep mode, or a plain single-process
+// run), which sweep configuration it
 // fingerprints, and how many records it holds. Corrupt records are counted
 // and warned about on stderr with their byte offsets, same as on resume —
 // this is the quickest way to triage a journal a sweep refuses to merge.

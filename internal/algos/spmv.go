@@ -29,30 +29,6 @@ type CSR struct {
 // NNZ returns the number of stored non-zeros.
 func (m *CSR) NNZ() int { return len(m.ColIdx) }
 
-// Validate checks structural invariants.
-func (m *CSR) Validate() error {
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("algos: CSR: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
-	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != int64(m.NNZ()) {
-		return fmt.Errorf("algos: CSR: RowPtr endpoints %d..%d, want 0..%d", m.RowPtr[0], m.RowPtr[m.Rows], m.NNZ())
-	}
-	if len(m.Val) != m.NNZ() {
-		return fmt.Errorf("algos: CSR: %d values for %d column indices", len(m.Val), m.NNZ())
-	}
-	for r := 0; r < m.Rows; r++ {
-		if m.RowPtr[r] > m.RowPtr[r+1] {
-			return fmt.Errorf("algos: CSR: row %d has negative length", r)
-		}
-	}
-	for _, c := range m.ColIdx {
-		if c < 0 || c >= int64(m.Cols) {
-			return fmt.Errorf("algos: CSR: column index %d out of [0,%d)", c, m.Cols)
-		}
-	}
-	return nil
-}
-
 // RandomCSR builds a rows x cols matrix with nnzPerRow random non-zeros
 // per row (column indices drawn uniformly, duplicates within a row
 // allowed, as in the paper's synthetic workload), then makes column

@@ -1,6 +1,7 @@
 package algos
 
 import (
+	"fmt"
 	"testing"
 
 	"dxbsp/internal/rng"
@@ -8,18 +9,18 @@ import (
 
 func TestCSRValidate(t *testing.T) {
 	m := RandomCSR(100, 200, 5, 0, rng.New(1))
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if m.NNZ() != 500 {
 		t.Errorf("NNZ = %d", m.NNZ())
 	}
 	bad := &CSR{Rows: 2, Cols: 2, RowPtr: []int64{0, 1}, ColIdx: []int64{0}, Val: []int64{1}}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("short RowPtr accepted")
 	}
 	bad2 := &CSR{Rows: 1, Cols: 2, RowPtr: []int64{0, 1}, ColIdx: []int64{5}, Val: []int64{1}}
-	if err := bad2.Validate(); err == nil {
+	if err := bad2.validate(); err == nil {
 		t.Error("out-of-range column accepted")
 	}
 }
@@ -83,7 +84,7 @@ func TestSpMVEmptyRows(t *testing.T) {
 		ColIdx: []int64{0, 1, 2},
 		Val:    []int64{1, 2, 3},
 	}
-	if err := a.Validate(); err != nil {
+	if err := a.validate(); err != nil {
 		t.Fatal(err)
 	}
 	x := []int64{10, 20, 30}
@@ -145,4 +146,29 @@ func TestRandomCSRPanics(t *testing.T) {
 		}
 	}()
 	RandomCSR(0, 10, 1, 0, rng.New(1))
+}
+
+// validate checks the structural invariants of m: the oracle the tests
+// hold RandomCSR and hand-built matrices to.
+func (m *CSR) validate() error {
+	if len(m.RowPtr) != m.Rows+1 {
+		return fmt.Errorf("algos: CSR: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
+	}
+	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != int64(m.NNZ()) {
+		return fmt.Errorf("algos: CSR: RowPtr endpoints %d..%d, want 0..%d", m.RowPtr[0], m.RowPtr[m.Rows], m.NNZ())
+	}
+	if len(m.Val) != m.NNZ() {
+		return fmt.Errorf("algos: CSR: %d values for %d column indices", len(m.Val), m.NNZ())
+	}
+	for r := 0; r < m.Rows; r++ {
+		if m.RowPtr[r] > m.RowPtr[r+1] {
+			return fmt.Errorf("algos: CSR: row %d has negative length", r)
+		}
+	}
+	for _, c := range m.ColIdx {
+		if c < 0 || c >= int64(m.Cols) {
+			return fmt.Errorf("algos: CSR: column index %d out of [0,%d)", c, m.Cols)
+		}
+	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file extends the LogP model of Culler et al. [CKP+93] with the
 // paper's d and x parameters, as the paper notes is straightforward ("to
@@ -30,28 +27,6 @@ type DXLogP struct {
 // so o=0 reproduces the BSP-style cost).
 func FromMachine(m Machine, o float64) DXLogP {
 	return DXLogP{L: m.L, O: o, G: m.G, P: m.Procs, D: m.D, X: m.Expansion()}
-}
-
-// Validate reports whether the parameters are usable.
-func (m DXLogP) Validate() error {
-	switch {
-	case m.P <= 0:
-		return fmt.Errorf("core: DXLogP: P=%d", m.P)
-	case m.G <= 0 || m.D <= 0 || m.X <= 0:
-		return fmt.Errorf("core: DXLogP: G, D, X must be positive (g=%g d=%g x=%g)", m.G, m.D, m.X)
-	case m.L < 0 || m.O < 0:
-		return fmt.Errorf("core: DXLogP: L and O must be non-negative")
-	}
-	return nil
-}
-
-// Banks returns the number of memory-bank modules, x*P rounded.
-func (m DXLogP) Banks() int {
-	b := int(math.Round(m.X * float64(m.P)))
-	if b < 1 {
-		b = 1
-	}
-	return b
 }
 
 // BulkCost returns the (d,x)-LogP cost of a bulk phase in which each

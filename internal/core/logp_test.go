@@ -8,41 +8,8 @@ import (
 func TestFromMachine(t *testing.T) {
 	m := J90()
 	lp := FromMachine(m, 2)
-	if err := lp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if lp.D != m.D || lp.P != m.Procs || lp.O != 2 {
+	if lp.D != m.D || lp.P != m.Procs || lp.O != 2 || lp.G != m.G || lp.L != m.L || lp.X != m.Expansion() {
 		t.Errorf("FromMachine = %+v", lp)
-	}
-	if lp.Banks() != m.Banks {
-		t.Errorf("Banks = %d, want %d", lp.Banks(), m.Banks)
-	}
-}
-
-func TestDXLogPValidate(t *testing.T) {
-	good := DXLogP{L: 10, O: 1, G: 1, P: 8, D: 6, X: 64}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []DXLogP{
-		{L: 10, O: 1, G: 1, P: 0, D: 6, X: 64},
-		{L: 10, O: 1, G: 0, P: 8, D: 6, X: 64},
-		{L: 10, O: 1, G: 1, P: 8, D: 0, X: 64},
-		{L: 10, O: 1, G: 1, P: 8, D: 6, X: 0},
-		{L: -1, O: 1, G: 1, P: 8, D: 6, X: 64},
-		{L: 10, O: -1, G: 1, P: 8, D: 6, X: 64},
-	}
-	for i, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("bad[%d] accepted: %+v", i, m)
-		}
-	}
-}
-
-func TestBanksRounding(t *testing.T) {
-	m := DXLogP{G: 1, D: 1, X: 0.01, P: 8}
-	if got := m.Banks(); got != 1 {
-		t.Errorf("tiny X Banks = %d, want 1", got)
 	}
 }
 

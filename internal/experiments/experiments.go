@@ -56,15 +56,6 @@ type SimRunner interface {
 	RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error)
 }
 
-// SimRunnerFunc adapts a function to the SimRunner interface, the way
-// http.HandlerFunc adapts handlers.
-type SimRunnerFunc func(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error)
-
-// RunSim implements SimRunner.
-func (f SimRunnerFunc) RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
-	return f(ctx, cfg, pt)
-}
-
 // RunSim routes one simulation through the configured SimRunner, or
 // directly to sim.RunContext when none is installed.
 func (c Config) RunSim(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {

@@ -158,6 +158,14 @@ func TestF5VersionCIsOffModel(t *testing.T) {
 	}
 }
 
+// simFunc adapts a function to SimRunner, so a test can watch
+// every simulation an experiment issues.
+type simFunc func(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error)
+
+func (f simFunc) RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
+	return f(ctx, cfg, pt)
+}
+
 // TestDisciplineExperimentsTakeLockstep pins which engine serves the
 // discipline and section studies: every simulation D1, D2, D3, X13 and
 // F5 issue at quick scale is sim.BatchEligible, so RunContext serves it
@@ -166,7 +174,7 @@ func TestDisciplineExperimentsTakeLockstep(t *testing.T) {
 	for _, id := range []string{"D1", "D2", "D3", "X13", "F5"} {
 		sims, slow := 0, map[string]int{}
 		cfg := QuickConfig()
-		cfg.Sim = SimRunnerFunc(func(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {
+		cfg.Sim = simFunc(func(ctx context.Context, sc sim.Config, pt core.Pattern) (sim.Result, error) {
 			sims++ // Experiment.Run calls serially
 			if reason := sim.BatchFallbackReason(sc); reason != "" {
 				slow[reason]++

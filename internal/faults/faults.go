@@ -68,12 +68,8 @@ type Spec struct {
 	// KillAfter, when positive, is process-level chaos: after that many
 	// checkpoint-journal appends the process SIGKILLs itself — a
 	// deterministic stand-in for `kill -9` mid-sweep. Wire it up via
-	// KillOnAppend; only sweep workers and chaos harnesses should.
+	// KillOnAppend; only shard runs and chaos harnesses should.
 	KillAfter int
-	// StallHeartbeat is process-level chaos for the distributed sweep: the
-	// worker claims leases but never renews them, so the coordinator must
-	// reclaim its ranges even though the process is still alive.
-	StallHeartbeat bool
 }
 
 func (s Spec) maxDelay() time.Duration {
@@ -115,9 +111,8 @@ func (s Spec) Validate() error {
 // ParseSpec parses a -chaos specification: either a bare rate ("0.1",
 // shorthand for error=0.1) or comma-separated k=v pairs with keys panic,
 // error, delay, cancel, corrupt, torn (rates), seed (uint), maxdelay
-// (duration), repeat (int), and the process-level keys kill (SIGKILL self
-// after N journal appends) and stallhb (1: claim sweep leases but never
-// renew them). Example: "error=0.1,cancel=0.05,seed=7".
+// (duration), repeat (int), and the process-level key kill (SIGKILL self
+// after N journal appends). Example: "error=0.1,cancel=0.05,seed=7".
 func ParseSpec(arg string) (Spec, error) {
 	var s Spec
 	arg = strings.TrimSpace(arg)
@@ -161,11 +156,6 @@ func ParseSpec(arg string) (Spec, error) {
 			s.Repeat, err = strconv.Atoi(v)
 		case "kill":
 			s.KillAfter, err = strconv.Atoi(v)
-		case "stallhb":
-			var b bool
-			if b, err = strconv.ParseBool(v); err == nil {
-				s.StallHeartbeat = b
-			}
 		default:
 			return s, fmt.Errorf("faults: unknown key %q", k)
 		}
@@ -265,14 +255,10 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// Spec returns the injector's configuration — sweep workers read the
-// process-level knobs (KillAfter, StallHeartbeat) from it.
-func (in *Injector) Spec() Spec { return in.spec }
-
-// KillOnAppend is the checkpoint journal's OnAppend hook for kill-worker
+// KillOnAppend is the checkpoint journal's OnAppend hook for kill-process
 // chaos: once the process has journaled KillAfter results it SIGKILLs
-// itself — no deferred cleanup, no lease release, exactly the crash the
-// coordinator's reclaim path must absorb. A no-op unless KillAfter > 0.
+// itself — no deferred cleanup, no journal close, exactly the crash a
+// shard's -resume must absorb. A no-op unless KillAfter > 0.
 func (in *Injector) KillOnAppend(appended uint64) {
 	if in.spec.KillAfter <= 0 || appended < uint64(in.spec.KillAfter) {
 		return

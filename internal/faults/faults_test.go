@@ -278,18 +278,22 @@ func TestCorruptRecordCaughtByJournal(t *testing.T) {
 
 // The process-level chaos knobs parse and validate like the rates do.
 func TestParseSpecProcessChaos(t *testing.T) {
-	s, err := ParseSpec("torn=0.2,kill=5,stallhb=1")
+	s, err := ParseSpec("torn=0.2,kill=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{Torn: 0.2, KillAfter: 5, StallHeartbeat: true}
+	want := Spec{Torn: 0.2, KillAfter: 5}
 	if s != want {
 		t.Errorf("spec = %+v, want %+v", s, want)
 	}
-	for _, bad := range []string{"torn=1.5", "torn=-0.1", "corrupt=0.6,torn=0.6", "kill=-1", "kill=x", "stallhb=maybe"} {
+	for _, bad := range []string{"torn=1.5", "torn=-0.1", "corrupt=0.6,torn=0.6", "kill=-1", "kill=x"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+	// A key of no known fault is refused, never silently ignored.
+	if _, err := ParseSpec("stallhb=1"); err == nil || !strings.Contains(err.Error(), `unknown key "stallhb"`) {
+		t.Errorf("stallhb=1: err = %v, want unknown key", err)
 	}
 }
 

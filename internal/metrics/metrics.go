@@ -181,7 +181,7 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current total.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Gauge is a float64 gauge with atomic Set/SetMax/Add.
+// Gauge is a float64 gauge with atomic Set/SetMax.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -197,17 +197,6 @@ func (g *Gauge) SetMax(v float64) {
 			return
 		}
 		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Add increases (or with negative v, decreases) the gauge.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
 			return
 		}
 	}

@@ -21,7 +21,7 @@ func TestProgramFromTraces(t *testing.T) {
 	if len(prog.Steps) != 3 {
 		t.Fatalf("steps = %d", len(prog.Steps))
 	}
-	if n := prog.Steps[0].Requests() + prog.Steps[1].Requests() + prog.Steps[2].Requests(); n != 7 {
+	if n := len(prog.Steps[0].addrs) + len(prog.Steps[1].addrs) + len(prog.Steps[2].addrs); n != 7 {
 		t.Errorf("requests = %d", n)
 	}
 	if k0, k1, k2 := prog.Steps[0].kappa, prog.Steps[1].kappa, prog.Steps[2].kappa; k0 != 3 || k1 != 2 || k2 != 0 {
@@ -91,9 +91,9 @@ func TestProgramFromTracesMatchesRoundRobin(t *testing.T) {
 					t.Fatalf("v=%d step %d vp %d: %v, want %v", v, s, i, got.vp(i), lists[i])
 				}
 			}
-			if got.maxOps != want.maxOps || got.Contention() != want.Contention() || got.Requests() != len(addrs) {
+			if got.maxOps != want.maxOps || got.kappa != want.kappa || len(got.addrs) != len(addrs) {
 				t.Errorf("v=%d step %d: ops, κ, n = %d, %d, %d; want %d, %d, %d", v, s,
-					got.maxOps, got.Contention(), got.Requests(), want.maxOps, want.Contention(), len(addrs))
+					got.maxOps, got.kappa, len(got.addrs), want.maxOps, want.kappa, len(addrs))
 			}
 		}
 	}

@@ -16,8 +16,8 @@ func TestEREWProgramHasNoContention(t *testing.T) {
 		t.Fatal("EREWProgram produced contention")
 	}
 	for i, s := range prog.Steps {
-		if s.Contention() != 1 {
-			t.Errorf("step %d contention %d", i, s.Contention())
+		if s.kappa != 1 {
+			t.Errorf("step %d contention %d", i, s.kappa)
 		}
 	}
 }

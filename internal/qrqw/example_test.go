@@ -11,9 +11,9 @@ import (
 func ExampleStep_Cost() {
 	// Four virtual processors; three access location 9 concurrently.
 	st := qrqw.NewStep([][]uint64{{9}, {9}, {9}, {4}})
-	fmt.Printf("κ=%d cost=%d\n", st.Contention(), st.Cost())
+	fmt.Printf("cost=%d\n", st.Cost())
 	// Output:
-	// κ=3 cost=3
+	// cost=3
 }
 
 // Emulating a QRQW program on a machine whose expansion beats its delay

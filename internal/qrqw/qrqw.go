@@ -67,16 +67,9 @@ func newStep(addrs []uint64, off []int32, pr *core.Profiler) Step {
 // vp returns the accesses of virtual processor i.
 func (s Step) vp(i int) []uint64 { return s.addrs[s.off[i]:s.off[i+1]] }
 
-// Contention returns κ, the maximum number of accesses to any single
-// location in the step.
-func (s Step) Contention() int { return s.kappa }
-
 // Cost returns the QRQW time of the step: the larger of the most
 // operations by any virtual processor and the contention κ.
 func (s Step) Cost() int { return max(s.maxOps, s.kappa) }
-
-// Requests returns the total number of memory requests in the step.
-func (s Step) Requests() int { return len(s.addrs) }
 
 // pattern returns the step as p physical processors issue it: processor
 // r issues the accesses of virtual processors r, r+p, r+2p, ... in turn.

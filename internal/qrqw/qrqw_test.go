@@ -15,13 +15,13 @@ func TestStepCost(t *testing.T) {
 	if got := st.maxOps; got != 2 {
 		t.Errorf("maxOps = %d", got)
 	}
-	if got := st.Contention(); got != 2 {
+	if got := st.kappa; got != 2 {
 		t.Errorf("Contention = %d", got)
 	}
 	if got := st.Cost(); got != 2 {
 		t.Errorf("Cost = %d", got)
 	}
-	if got := st.Requests(); got != 5 {
+	if got := len(st.addrs); got != 5 {
 		t.Errorf("Requests = %d", got)
 	}
 }
@@ -73,8 +73,8 @@ func TestRandomProgramShape(t *testing.T) {
 			t.Fatalf("maxOps = %d, want 1", st.maxOps)
 		}
 		// Over a 2^20 space with 64 procs, contention should be tiny.
-		if st.Contention() > 3 {
-			t.Errorf("random program contention = %d", st.Contention())
+		if st.kappa > 3 {
+			t.Errorf("random program contention = %d", st.kappa)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestContentionProgramExact(t *testing.T) {
 	for _, k := range []int{1, 4, 16, 64} {
 		p := ContentionProgram(64, 3, k, 1, g)
 		for i, st := range p.Steps {
-			if got := st.Contention(); got != k {
+			if got := st.kappa; got != k {
 				t.Errorf("k=%d step %d: contention %d", k, i, got)
 			}
 			if st.Cost() != maxInt(1, k) {
@@ -312,7 +312,7 @@ func TestContentionMatchesMap(t *testing.T) {
 				want[i] = max(want[i], counts[a])
 			}
 		}
-		if got := st.Contention(); got != want[i] {
+		if got := st.kappa; got != want[i] {
 			t.Errorf("step %d: Contention = %d, map oracle %d", i, got, want[i])
 		}
 		time += max(st.maxOps, want[i])

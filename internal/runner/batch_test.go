@@ -5,11 +5,9 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dxbsp/internal/core"
-	"dxbsp/internal/experiments"
 	"dxbsp/internal/rng"
 	"dxbsp/internal/sim"
 )
@@ -69,11 +67,7 @@ func TestBatcherByteIdentical(t *testing.T) {
 // fallback reason for an ineligible one.
 func TestBatcherPassthrough(t *testing.T) {
 	pt := batcherTestPattern(64)
-	var forwarded atomic.Int32
-	next := experiments.SimRunnerFunc(func(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
-		forwarded.Add(1)
-		return sim.RunContext(ctx, cfg, pt)
-	})
+	next := &countingRunner{}
 	var reasons []string
 	observe := func(cfg sim.Config, pt core.Pattern, reason string) { reasons = append(reasons, reason) }
 	sections := batcherTestConfig(2, 4)
@@ -101,7 +95,7 @@ func TestBatcherPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := forwarded.Load(); n != 4 {
+	if n := next.calls; n != 4 {
 		t.Fatalf("forwarded %d calls, want 4", n)
 	}
 	if want := []string{"", "sections"}; strings.Join(reasons, ",") != strings.Join(want, ",") {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +30,7 @@ import (
 // A journal may open under a shard-specific name (OpenJournalFile) and
 // carry a Header identifying which shard of which sweep produced it;
 // internal/sweep merges such journals back into the canonical
-// journal.jsonl with MergeEntries + WriteJournalFile.
+// journal.jsonl through ReadJournalFile and WriteJournalFile.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -59,16 +58,23 @@ type Journal struct {
 // directory: the one a plain -checkpoint run writes and -resume reads.
 const journalFile = "journal.jsonl"
 
-// JournalHeader identifies the producer of a shard or worker journal. It
-// is written as the file's first record and checked on resume and merge,
-// so journals from different shard layouts or differently configured
-// sweeps are never silently combined.
+// JournalHeader identifies the producer of a shard journal. It is written
+// as the file's first record and checked on resume and merge, so journals
+// from different shard layouts or differently configured sweeps are never
+// silently combined.
+//
+// The field set is frozen: the header's checksum (headerSum) hashes %+v
+// of the whole struct, so adding, dropping or renaming a field would
+// change the checksum of every journal on disk, and a resumed shard would
+// skip its own header as corrupt (TestShardJournalHeaderPinned). That is
+// why Worker stays although nothing writes it any more.
 type JournalHeader struct {
-	// Shard and Of identify the static shard (Shard in [0, Of)); both are
-	// zero for dynamic worker journals.
+	// Shard and Of identify the static shard (Shard in [0, Of)).
 	Shard int `json:"shard"`
 	Of    int `json:"of,omitempty"`
-	// Worker names the producing worker in dynamic coordination mode.
+	// Worker named the producing worker of the retired dynamic sweep
+	// mode; dxsim -journal still prints it for journal.worker-*.jsonl
+	// files, which Merge reads like shard journals.
 	Worker string `json:"worker,omitempty"`
 	// Config fingerprints the sweep configuration (experiment set, n,
 	// seed, quick); journals only merge when it agrees.
@@ -78,18 +84,6 @@ type JournalHeader struct {
 // ShardJournalName returns the journal file name for static shard i of n.
 func ShardJournalName(i, n int) string {
 	return fmt.Sprintf("journal.shard-%d-of-%d.jsonl", i, n)
-}
-
-// WorkerJournalName returns the journal file name for a dynamic worker.
-func WorkerJournalName(id string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, id)
-	return fmt.Sprintf("journal.worker-%s.jsonl", clean)
 }
 
 // OpenJournal opens the canonical checkpoint journal in dir, creating the
@@ -102,8 +96,8 @@ func OpenJournal(dir string, resume bool, warn io.Writer) (*Journal, error) {
 }
 
 // OpenJournalFile opens the journal stored under the given file name in
-// dir — shard and worker journals live beside the canonical one under
-// ShardJournalName / WorkerJournalName.
+// dir — shard journals live beside the canonical one under
+// ShardJournalName.
 func OpenJournalFile(dir, name string, resume bool, warn io.Writer) (*Journal, error) {
 	if warn == nil {
 		warn = io.Discard
@@ -142,9 +136,9 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Sync forces journaled records to stable storage. Workers call it before
-// publishing a range-done marker: the marker must never become visible
-// before the records it vouches for.
+// Sync forces journaled records to stable storage. A shard calls it
+// before reporting itself done, so a merge that follows reads every
+// record the shard counted.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -184,18 +178,6 @@ func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.entries)
-}
-
-// Entries returns a copy of the journal's result map — the merge path's
-// view of a loaded shard journal.
-func (j *Journal) Entries() map[string]sim.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string]sim.Result, len(j.entries))
-	for k, v := range j.entries {
-		out[k] = v
-	}
-	return out
 }
 
 // Lookup returns the journaled result for key, if present.

@@ -183,3 +183,44 @@ func TestJournalWriteFailureNonFatal(t *testing.T) {
 	}
 	j.f = nil // already closed
 }
+
+// TestShardJournalHeaderPinned pins the exact first line a static shard
+// journal starts with. The header's checksum is FNV-1a over %+v of
+// JournalHeader, so adding, removing or renaming a field (even one no
+// producer sets) changes the checksum of every shard journal on disk: a
+// resumed shard would then skip its own header as corrupt, append a
+// second one, and Merge's foreign-sweep refusal would go quiet for it.
+func TestShardJournalHeaderPinned(t *testing.T) {
+	const want = `{"h":{"shard":1,"of":4,"config":"0123456789abcdef"},"s":"2ba93d86e562974b"}` + "\n"
+	dir := t.TempDir()
+	name := ShardJournalName(1, 4)
+	j, err := OpenJournalFile(dir, name, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteHeader(JournalHeader{Shard: 1, Of: 4, Config: "0123456789abcdef"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("shard journal header drifted\n got: %q\nwant: %q", got, want)
+	}
+	// A resume under the same header must accept it as its own.
+	j2, err := OpenJournalFile(dir, name, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if err := j2.WriteHeader(JournalHeader{Shard: 1, Of: 4, Config: "0123456789abcdef"}); err != nil {
+		t.Errorf("resume rejected the pinned header: %v", err)
+	}
+	if st := j2.Stats(); st.Skipped != 0 {
+		t.Errorf("resume skipped %d record(s) of the pinned header", st.Skipped)
+	}
+}

@@ -14,9 +14,7 @@ import (
 type Event struct {
 	// Type is "experiment_start", "point_done", "point_retry",
 	// "point_failed", "fault_injected", "experiment_done",
-	// "checkpoint_loaded", "run_done", or one of the distributed-sweep
-	// types: "shard_done", "range_claimed", "range_done",
-	// "lease_reclaimed", "worker_done", "merge_done", "sweep_done".
+	// "checkpoint_loaded", "run_done", or "shard_done".
 	Type string `json:"type"`
 	// ElapsedMS is the time since the log was opened.
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -49,16 +47,8 @@ type Event struct {
 	CheckpointRestored uint64 `json:"checkpoint_restored,omitempty"`
 	CheckpointAppended uint64 `json:"checkpoint_appended,omitempty"`
 
-	// Distributed-sweep fields: Shard is the static shard spec ("1/4"),
-	// Worker the claiming worker's id, Range the manifest range id
-	// (range_claimed, range_done, lease_reclaimed). Ranges counts manifest
-	// ranges (worker_done, sweep_done: ranges completed by that worker /
-	// in total); Reclaimed counts leases reclaimed from expired workers.
-	Shard     string `json:"shard,omitempty"`
-	Worker    string `json:"worker,omitempty"`
-	Range     string `json:"range,omitempty"`
-	Ranges    int    `json:"ranges,omitempty"`
-	Reclaimed int    `json:"reclaimed,omitempty"`
+	// Shard is the static shard spec ("1/4") of a shard_done event.
+	Shard string `json:"shard,omitempty"`
 }
 
 // EventLog serializes events as JSON lines to a writer. Safe for

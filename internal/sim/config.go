@@ -130,12 +130,3 @@ type Result struct {
 	// sim/surrogate sweeps.
 	Analytic bool
 }
-
-// CyclesPerElement returns processor-cycles per element, the unit the
-// paper's graphs use.
-func (r Result) CyclesPerElement(p int) float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return r.Cycles * float64(p) / float64(r.Requests)
-}

@@ -231,16 +231,6 @@ func TestBankBusyAccounting(t *testing.T) {
 	}
 }
 
-func TestCyclesPerElement(t *testing.T) {
-	r := Result{Cycles: 1000, Requests: 500}
-	if got := r.CyclesPerElement(8); got != 16 {
-		t.Errorf("CyclesPerElement = %v", got)
-	}
-	if got := (Result{}).CyclesPerElement(8); got != 0 {
-		t.Errorf("empty CyclesPerElement = %v", got)
-	}
-}
-
 func TestMoreBanksNeverSlower(t *testing.T) {
 	// Expansion ablation at small scale: doubling banks should not slow a
 	// random pattern down (the property behind experiment F6).

@@ -13,24 +13,24 @@ import (
 
 // MergeStats summarizes one merge.
 type MergeStats struct {
-	// Files is the number of journal files read (shard, worker, and any
+	// Files is the number of journal files read (shard journals and any
 	// previously merged canonical journal).
 	Files int
 	// Records is the merged journal's entry count.
 	Records int
 	// Duplicates counts key collisions across inputs whose results agreed
-	// (re-executed reclaimed ranges, shared baselines across shards).
+	// (baselines shared across shards, a re-merge of the canonical journal).
 	Duplicates int
 	// Skipped counts corrupt or torn records dropped across all inputs.
 	Skipped int
 }
 
-// Merge combines every journal in dir — static shard journals, dynamic
-// worker journals, and an existing canonical journal.jsonl from a prior
-// merge — into the canonical journal.jsonl, written deterministically
-// (records sorted by key, temp + rename), so the same inputs always
-// produce byte-identical output and `-resume` replays the whole sweep
-// with zero re-executed simulations.
+// Merge combines every journal.*.jsonl in dir (the shard journals) and
+// an existing canonical journal.jsonl from a prior merge into the
+// canonical journal.jsonl, written deterministically (records sorted by
+// key, temp + rename), so the same inputs always produce byte-identical
+// output and `-resume` replays the whole sweep with zero re-executed
+// simulations.
 //
 // Safety over silence: journals whose headers carry different sweep
 // fingerprints refuse to merge, and a key that maps to two different

@@ -29,19 +29,23 @@ func TestMergeCombinesShards(t *testing.T) {
 		map[string]sim.Result{"k0": res(1), "k2": res(3), "shared": res(9)})
 	writeJournal(t, dir, runner.ShardJournalName(1, 2), hdr(1),
 		map[string]sim.Result{"k1": res(2), "shared": res(9)})
+	// A journal.worker-<id>.jsonl left by the retired dynamic workers still
+	// matches the journal.*.jsonl glob and merges like a shard journal.
+	writeJournal(t, dir, "journal.worker-a.jsonl", &runner.JournalHeader{Worker: "a", Config: "cafe"},
+		map[string]sim.Result{"k3": res(4), "shared": res(9)})
 
 	st, err := Merge(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Files != 2 || st.Records != 4 || st.Duplicates != 1 || st.Skipped != 0 {
+	if st.Files != 3 || st.Records != 5 || st.Duplicates != 2 || st.Skipped != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	entries, _, skipped, err := runner.ReadJournalFile(filepath.Join(dir, "journal.jsonl"), nil)
 	if err != nil || skipped != 0 {
 		t.Fatalf("read merged: skipped=%d err=%v", skipped, err)
 	}
-	if len(entries) != 4 || entries["shared"] != res(9) {
+	if len(entries) != 5 || entries["shared"] != res(9) || entries["k3"] != res(4) {
 		t.Fatalf("merged entries: %v", entries)
 	}
 }

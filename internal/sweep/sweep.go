@@ -1,8 +1,8 @@
 // Package sweep shards an experiment suite's point grid across processes
 // and merges the resulting checkpoint journals back into one
-// deterministic result — the coordination substrate that makes the
-// paper's expensive sweeps (expansion studies at large p, every hash
-// family, every bank discipline) feasible across machines.
+// deterministic result, so the paper's sweeps (expansion studies at large
+// p, every hash family, every bank discipline) can run across processes
+// or machines.
 //
 // The package builds on two invariants the rest of the system already
 // guarantees. First, every experiment enumerates its points
@@ -14,19 +14,11 @@
 // by key, and a final -resume run replays the merged journal into output
 // byte-identical to a single-process run, re-executing nothing.
 //
-// Two execution modes share that foundation:
-//
-//   - Static sharding: `dxbench -shard i/n -checkpoint dir` runs the
-//     points with Index ≡ i (mod n), journaling into a per-shard file;
-//     `dxbench -merge dir` combines the shard journals into the canonical
-//     journal.jsonl.
-//   - Dynamic coordination: a Coordinator writes a Manifest of point
-//     ranges into a shared directory; Workers claim ranges through
-//     atomically created lease files, renew them by heartbeat, and mark
-//     ranges done; the coordinator reclaims leases whose heartbeat
-//     expired, so a `kill -9` of any worker loses at most its in-flight
-//     points — another worker re-runs the reclaimed range, and
-//     determinism makes the re-run's records identical.
+// `dxbench -shard i/n -checkpoint dir` runs the points with Index ≡ i
+// (mod n), journaling into a per-shard file; `dxbench -merge dir`
+// combines the shard journals into the canonical journal.jsonl. A shard
+// killed mid-run resumes its own journal with -resume and re-executes
+// only what it had not journaled.
 //
 // Retry behavior is shard-invariant by construction: the runner's backoff
 // schedule derives from (policy seed, experiment ID, point index,
@@ -37,6 +29,7 @@ package sweep
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -122,18 +115,6 @@ func FilterPoints(pts []experiments.Point, s Shard) []experiments.Point {
 	return out
 }
 
-// FilterRange returns the points with global Index in [start, end),
-// preserving indices — the dynamic worker's unit of claimed work.
-func FilterRange(pts []experiments.Point, start, end int) []experiments.Point {
-	out := make([]experiments.Point, 0, end-start)
-	for _, p := range pts {
-		if p.Index >= start && p.Index < end {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Apply wraps e so its Points stage enumerates only the points owned by
 // s. The full grid is still generated first (the shared-RNG draws must
 // happen in sweep order on every shard), then filtered; Assemble sees
@@ -149,12 +130,17 @@ func Apply(e experiments.Experiment, s Shard) experiments.Experiment {
 	return e
 }
 
-// ApplyRange wraps e so its Points stage enumerates only the points with
-// global Index in [start, end).
-func ApplyRange(e experiments.Experiment, start, end int) experiments.Experiment {
-	inner := e.Points
-	e.Points = func(cfg experiments.Config) []experiments.Point {
-		return FilterRange(inner(cfg), start, end)
+// Fingerprint digests everything that determines the point grid and its
+// results: scale, seed, quick mode, and the experiment set with each
+// experiment's point count. Two processes agree on the fingerprint iff
+// they enumerate the identical grid. Shard journal headers carry it, so a
+// shard run with different flags can neither resume nor merge into
+// someone else's sweep.
+func Fingerprint(cfg experiments.Config, exps []experiments.Experiment) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "n=%d|seed=%d|quick=%t", cfg.N, cfg.Seed, cfg.Quick)
+	for _, e := range exps {
+		fmt.Fprintf(h, "|%s:%d", e.ID, len(e.Points(cfg)))
 	}
-	return e
+	return fmt.Sprintf("%016x", h.Sum64())
 }

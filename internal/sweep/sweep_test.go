@@ -112,19 +112,6 @@ func TestApplyPreservesGlobalIndex(t *testing.T) {
 	}
 }
 
-func TestFilterRange(t *testing.T) {
-	cfg := experiments.Config{}
-	pts := ApplyRange(fakeExperiment("FX", 10), 3, 7).Points(cfg)
-	if len(pts) != 4 {
-		t.Fatalf("got %d points, want 4", len(pts))
-	}
-	for i, p := range pts {
-		if p.Index != 3+i {
-			t.Fatalf("point %d has index %d, want %d", i, p.Index, 3+i)
-		}
-	}
-}
-
 // The satellite property: a point's seeded-jitter backoff schedule is a
 // pure function of (policy seed, experiment ID, global point index), so it
 // is identical whether the point runs single-process or in any shard i/n —
@@ -177,59 +164,5 @@ func TestManifestFingerprintSensitivity(t *testing.T) {
 		if other == base {
 			t.Errorf("fingerprint insensitive to %s", name)
 		}
-	}
-}
-
-func TestBuildManifestRanges(t *testing.T) {
-	cfg := experiments.Config{}
-	exps := []experiments.Experiment{fakeExperiment("A", 9), fakeExperiment("B", 4)}
-	m := BuildManifest(cfg, exps, 4)
-	wantIDs := []string{"A.0-4", "A.4-8", "A.8-9", "B.0-4"}
-	if len(m.Ranges) != len(wantIDs) {
-		t.Fatalf("got %d ranges %v, want %d", len(m.Ranges), m.Ranges, len(wantIDs))
-	}
-	for i, want := range wantIDs {
-		if m.Ranges[i].ID != want {
-			t.Errorf("range %d = %s, want %s", i, m.Ranges[i].ID, want)
-		}
-	}
-	if m.Ranges[2].Start != 8 || m.Ranges[2].End != 9 {
-		t.Errorf("tail range = [%d,%d), want [8,9)", m.Ranges[2].Start, m.Ranges[2].End)
-	}
-}
-
-func TestWriteManifestRestartAndMismatch(t *testing.T) {
-	dir := t.TempDir()
-	cfg := experiments.Config{N: 4096, Seed: 7}
-	exps := []experiments.Experiment{fakeExperiment("A", 5)}
-	m := BuildManifest(cfg, exps, 2)
-	if _, err := WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	// Coordinator restart with the same config reuses the published plan.
-	again, err := WriteManifest(dir, BuildManifest(cfg, exps, 2))
-	if err != nil {
-		t.Fatalf("restart rejected: %v", err)
-	}
-	if again.Config != m.Config || len(again.Ranges) != len(m.Ranges) {
-		t.Fatalf("restart returned a different plan: %+v", again)
-	}
-	// A differently configured sweep must not share the directory.
-	other := BuildManifest(experiments.Config{N: 8192, Seed: 7}, exps, 2)
-	_, err = WriteManifest(dir, other)
-	var ue *UsageError
-	if !errors.As(err, &ue) {
-		t.Fatalf("mismatched manifest: got %v, want *UsageError", err)
-	}
-	// Worker-side guard sees the same mismatch.
-	loaded, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.VerifyConfig(experiments.Config{N: 8192, Seed: 7}, exps); !errors.As(err, &ue) {
-		t.Fatalf("VerifyConfig: got %v, want *UsageError", err)
-	}
-	if err := loaded.VerifyConfig(cfg, exps); err != nil {
-		t.Fatalf("VerifyConfig rejected matching config: %v", err)
 	}
 }

@@ -55,9 +55,8 @@ type Machine struct {
 
 	heap uint64 // bump allocator for simulated addresses
 
-	cycles     float64
-	supersteps int
-	maxLoc     int // worst location contention seen in any superstep
+	cycles float64
+	maxLoc int // worst location contention seen in any superstep
 
 	trace   TraceFunc
 	capture CaptureFunc
@@ -116,9 +115,6 @@ func (vm *Machine) Mach() core.Machine { return vm.mach }
 // Cycles returns total charged cycles since the last Reset.
 func (vm *Machine) Cycles() float64 { return vm.cycles }
 
-// Supersteps returns the number of supersteps (bulk operations) charged.
-func (vm *Machine) Supersteps() int { return vm.supersteps }
-
 // MaxLocContention returns the largest per-location contention observed in
 // any irregular superstep since the last Reset.
 func (vm *Machine) MaxLocContention() int { return vm.maxLoc }
@@ -126,7 +122,6 @@ func (vm *Machine) MaxLocContention() int { return vm.maxLoc }
 // Reset clears the cycle ledger (allocations are kept).
 func (vm *Machine) Reset() {
 	vm.cycles = 0
-	vm.supersteps = 0
 	vm.maxLoc = 0
 }
 
@@ -147,7 +142,6 @@ func (vm *Machine) AllocInit(data []int64) *Vec {
 // charge records the cycles of one superstep.
 func (vm *Machine) charge(cycles float64) {
 	vm.cycles += cycles
-	vm.supersteps++
 }
 
 // strideCost returns the cost of streaming k unit-stride vectors of n

